@@ -537,8 +537,10 @@ impl RareDriver {
         // strategies buffer the transition and run their policy update at
         // window end (returning its stats); heuristics observe and return
         // `None`, so no `ppo_update` event or trace entry is recorded.
-        let stats =
-            self.rewirer.feedback(reward, window_end, self.cfg.reset_each_episode, &self.state);
+        let stats = {
+            let _span = telemetry::span("rewirer.feedback");
+            self.rewirer.feedback(reward, window_end, self.cfg.reset_each_episode, &self.state)
+        };
         if window_end {
             let window_mean = self.window_reward / self.cfg.update_every.max(1) as f32;
             self.traces.episode_rewards.push(window_mean);

@@ -38,7 +38,7 @@ use graphrare_rl::{
     ValueNet,
 };
 use graphrare_tensor::optim::AdamSnapshot;
-use graphrare_tensor::Matrix;
+use graphrare_tensor::CsrMatrix;
 
 use graphrare_graph::edge_key;
 
@@ -389,7 +389,7 @@ enum Criteria {
     /// DHGR similarity scoring: cosine feature similarity plus a
     /// training-label agreement term, thresholded at `tau` (the median
     /// score over the original graph's edges).
-    Dhgr { feats: Matrix, norms: Vec<f32>, known: Vec<Option<usize>>, tau: f32 },
+    Dhgr { feats: CsrMatrix, norms: Vec<f32>, known: Vec<Option<usize>>, tau: f32 },
     /// Reference-graph membership: the symmetric feature-kNN relation.
     Reference { relation: FxHashSet<u64> },
 }
@@ -427,7 +427,7 @@ impl Criteria {
         let Criteria::Dhgr { feats, norms, known, .. } = self else {
             unreachable!("dhgr_score on a non-DHGR criteria");
         };
-        let mut score = cosine(feats.row(v), feats.row(u), norms[v], norms[u]);
+        let mut score = cosine(feats, norms, v, u);
         if let (Some(a), Some(b)) = (known[v], known[u]) {
             score += if a == b { 0.25 } else { -0.25 };
         }
@@ -476,10 +476,7 @@ impl TargetDriven {
 
     fn dhgr(topo: &TopologyOptimizer, cfg: &GraphRareConfig, train_mask: &[usize]) -> Self {
         let base = topo.base();
-        let feats = base.features().clone();
-        let norms: Vec<f32> = (0..base.num_nodes())
-            .map(|v| feats.row(v).iter().map(|x| x * x).sum::<f32>().sqrt())
-            .collect();
+        let (feats, norms) = sparse_features(base);
         let mut known = vec![None; base.num_nodes()];
         for &v in train_mask {
             known[v] = Some(base.labels()[v]);
@@ -595,12 +592,20 @@ fn prefix_targets(
     (k_target, d_target)
 }
 
-fn cosine(a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 {
-    if norm_a == 0.0 || norm_b == 0.0 {
+/// The graph's features in CSR form with each row's Euclidean norm.
+fn sparse_features(base: &graphrare_graph::Graph) -> (CsrMatrix, Vec<f32>) {
+    let feats = CsrMatrix::from_dense(base.features());
+    let norms = (0..feats.rows()).map(|v| feats.row_dot(v, v).sqrt()).collect();
+    (feats, norms)
+}
+
+/// Cosine similarity of feature rows `v` and `u` (0 when either is zero),
+/// the dot taken over the rows' shared non-zeros.
+fn cosine(feats: &CsrMatrix, norms: &[f32], v: usize, u: usize) -> f32 {
+    if norms[v] == 0.0 || norms[u] == 0.0 {
         return 0.0;
     }
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    dot / (norm_a * norm_b)
+    feats.row_dot(v, u) / (norms[v] * norms[u])
 }
 
 /// The symmetric feature-kNN reference relation: for every node, its
@@ -610,16 +615,14 @@ fn cosine(a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 {
 fn knn_relation(base: &graphrare_graph::Graph) -> FxHashSet<u64> {
     let n = base.num_nodes();
     let k = if n == 0 { 2 } else { (2 * base.num_edges() / n.max(1)).clamp(2, 8) };
-    let feats = base.features();
-    let norms: Vec<f32> =
-        (0..n).map(|v| feats.row(v).iter().map(|x| x * x).sum::<f32>().sqrt()).collect();
+    let (feats, norms) = sparse_features(base);
     let mut relation = FxHashSet::default();
     let mut sims: Vec<(f32, usize)> = Vec::with_capacity(n.saturating_sub(1));
     for v in 0..n {
         sims.clear();
         for u in 0..n {
             if u != v {
-                sims.push((cosine(feats.row(v), feats.row(u), norms[v], norms[u]), u));
+                sims.push((cosine(&feats, &norms, v, u), u));
             }
         }
         // Highest similarity first; equal similarities prefer the lower
@@ -803,5 +806,45 @@ mod tests {
         rw.rebase(&topo);
         let after = rw.propose(&state);
         assert!(after.iter().all(|&a| a == 1));
+    }
+
+    /// Non-negative bag-of-words-like rows, about three quarters zeros,
+    /// with row `zero_row % rows` forced all-zero.
+    fn arb_bag_of_words() -> impl proptest::prelude::Strategy<Value = graphrare_tensor::Matrix> {
+        use proptest::prelude::*;
+        (1usize..8, 1usize..24, 0usize..64).prop_flat_map(|(r, c, zero_row)| {
+            proptest::collection::vec(-3.0f32..1.0, r * c).prop_map(move |data| {
+                let data = data.into_iter().map(|v| v.max(0.0)).collect();
+                let mut m = graphrare_tensor::Matrix::from_vec(r, c, data);
+                m.row_mut(zero_row % r).fill(0.0);
+                m
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sparse_cosine_is_bit_identical_to_dense(m in arb_bag_of_words()) {
+            // The CSR cosine must equal the dense formula it replaced bit
+            // for bit: kNN and DHGR rankings order on `total_cmp`.
+            let g = Graph::from_edges(m.rows(), &[], m.clone(), vec![0; m.rows()], 1);
+            let (feats, norms) = sparse_features(&g);
+            let dense_norm = |v: usize| m.row(v).iter().map(|x| x * x).sum::<f32>().sqrt();
+            for v in 0..m.rows() {
+                proptest::prop_assert_eq!(norms[v].to_bits(), dense_norm(v).to_bits());
+                for u in 0..m.rows() {
+                    let (nv, nu) = (dense_norm(v), dense_norm(u));
+                    let want = if nv == 0.0 || nu == 0.0 {
+                        0.0
+                    } else {
+                        m.row(v).iter().zip(m.row(u)).map(|(x, y)| x * y).sum::<f32>() / (nv * nu)
+                    };
+                    let got = cosine(&feats, &norms, v, u);
+                    proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 }

@@ -16,12 +16,17 @@
 //!   estimate is used ([`Normalization::Sampled`]). The normaliser is a
 //!   single shared constant, so sampling changes every `H_f` monotonically
 //!   and leaves rankings — the only thing GraphRARE consumes — intact.
+//!
+//! Embeddings are stored in CSR form and every dot is a sorted-index
+//! intersection ([`CsrMatrix::row_dot_f64`]): bag-of-words rows are a few
+//! percent dense, so a dot costs the two rows' non-zeros instead of the
+//! feature width, with the same bits as the dense loop.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use graphrare_graph::Graph;
-use graphrare_tensor::{init, Matrix};
+use graphrare_tensor::{init, CsrMatrix, Matrix};
 
 /// The embedding function `φ` of Eq. (3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,7 +59,8 @@ pub enum Normalization {
 /// Precomputed feature-entropy table: embeddings plus the shared
 /// log-normaliser, supporting `O(h)` pairwise queries.
 pub struct FeatureEntropyTable {
-    z: Matrix,
+    /// Embedded features `z_v`, one CSR row per node.
+    z: CsrMatrix,
     /// Stabiliser subtracted from every dot product.
     max_dot: f64,
     /// `log Σ_{i,j} e^{⟨z_i,z_j⟩ − max_dot}`.
@@ -73,12 +79,13 @@ impl FeatureEntropyTable {
         embedding: Embedding,
         normalization: Normalization,
     ) -> Self {
+        let x = CsrMatrix::from_dense(features);
         let z = match embedding {
-            Embedding::Identity => features.clone(),
+            Embedding::Identity => x,
             Embedding::RandomProjection { dim, seed } => {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let proj = init::normal(&mut rng, features.cols(), dim, 1.0 / (dim as f32).sqrt());
-                features.matmul(&proj)
+                CsrMatrix::from_dense(&x.spmm(&proj))
             }
         };
         let n = z.rows();
@@ -110,14 +117,9 @@ impl FeatureEntropyTable {
         self.z.rows() == 0
     }
 
-    /// The embedded feature of node `v`.
-    pub fn embedding(&self, v: usize) -> &[f32] {
-        self.z.row(v)
-    }
-
     /// Log-probability `log P(z_v, z_u)` under the global pair softmax.
     pub fn log_prob(&self, v: usize, u: usize) -> f64 {
-        dot(self.z.row(v), self.z.row(u)) - self.max_dot - self.log_norm
+        self.z.row_dot_f64(v, u) - self.max_dot - self.log_norm
     }
 
     /// Feature entropy `H_f(v, u) = −P log P` (Eq. 4). Symmetric; larger
@@ -133,12 +135,8 @@ impl FeatureEntropyTable {
     }
 }
 
-fn dot(a: &[f32], b: &[f32]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x as f64) * (y as f64)).sum()
-}
-
 /// Exact `(max_dot, log Σ e^{dot − max_dot})` over all ordered pairs.
-fn exact_log_norm(z: &Matrix) -> (f64, f64) {
+fn exact_log_norm(z: &CsrMatrix) -> (f64, f64) {
     let n = z.rows();
     if n == 0 {
         return (0.0, 0.0);
@@ -148,13 +146,13 @@ fn exact_log_norm(z: &Matrix) -> (f64, f64) {
     let mut max_dot = f64::NEG_INFINITY;
     for i in 0..n {
         for j in i..n {
-            max_dot = max_dot.max(dot(z.row(i), z.row(j)));
+            max_dot = max_dot.max(z.row_dot_f64(i, j));
         }
     }
     let mut sum = 0.0f64;
     for i in 0..n {
         for j in i..n {
-            let e = (dot(z.row(i), z.row(j)) - max_dot).exp();
+            let e = (z.row_dot_f64(i, j) - max_dot).exp();
             sum += if i == j { e } else { 2.0 * e };
         }
     }
@@ -163,7 +161,7 @@ fn exact_log_norm(z: &Matrix) -> (f64, f64) {
 
 /// Sampled estimate: `Σ ≈ N² · mean(e^{dot − max_dot})` over `samples`
 /// uniform ordered pairs.
-fn sampled_log_norm(z: &Matrix, samples: usize) -> (f64, f64) {
+fn sampled_log_norm(z: &CsrMatrix, samples: usize) -> (f64, f64) {
     let n = z.rows();
     if n == 0 {
         return (0.0, 0.0);
@@ -171,11 +169,11 @@ fn sampled_log_norm(z: &Matrix, samples: usize) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(0x5eed_facade);
     let pairs: Vec<(usize, usize)> =
         (0..samples.max(1)).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect();
-    let dots: Vec<f64> = pairs.iter().map(|&(i, j)| dot(z.row(i), z.row(j))).collect();
+    let dots: Vec<f64> = pairs.iter().map(|&(i, j)| z.row_dot_f64(i, j)).collect();
     // Include the self-dot maximum so no query can exceed the stabiliser by
     // much: the largest dot of all is always some ⟨z_i, z_i⟩ pairing when
     // features are non-negative, and cheap to scan exactly.
-    let self_max = (0..n).map(|i| dot(z.row(i), z.row(i))).fold(f64::NEG_INFINITY, f64::max);
+    let self_max = (0..n).map(|i| z.row_dot_f64(i, i)).fold(f64::NEG_INFINITY, f64::max);
     let max_dot = dots.iter().copied().fold(self_max, f64::max);
     let mean = dots.iter().map(|&d| (d - max_dot).exp()).sum::<f64>() / dots.len() as f64;
     let log_norm = (n as f64).ln() * 2.0 + mean.max(f64::MIN_POSITIVE).ln();

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 
 use graphrare_graph::{ops, EdgeEdit, Graph};
-use graphrare_tensor::{AdjList, CsrMatrix, Matrix, Param, Tape, Var};
+use graphrare_tensor::{AdjList, CsrMatrix, Param, Tape, Var};
 
 /// A snapshot of one graph topology with lazily built propagation
 /// operators.
@@ -17,7 +17,9 @@ use graphrare_tensor::{AdjList, CsrMatrix, Matrix, Param, Tape, Var};
 /// never pays for the two-hop operator H2GCN needs.
 pub struct GraphTensors {
     graph: Graph,
-    features: Rc<Matrix>,
+    /// Node features in CSR form, built once per snapshot: layer 1 of
+    /// every backbone multiplies this constant input directly.
+    features: Rc<CsrMatrix>,
     /// Incrementally maintained `d̂^{-1/2}` vector: only edit endpoints
     /// change degree, so [`apply_edits`](GraphTensors::apply_edits) /
     /// [`apply_flips`](GraphTensors::apply_flips) re-derive just those
@@ -41,7 +43,7 @@ impl GraphTensors {
     pub fn new(g: &Graph) -> Self {
         Self {
             graph: g.clone(),
-            features: Rc::new(g.features().clone()),
+            features: Rc::new(CsrMatrix::from_dense(g.features())),
             inv_sqrt: ops::inv_sqrt_degrees(g),
             gcn: OnceCell::new(),
             row: OnceCell::new(),
@@ -78,9 +80,21 @@ impl GraphTensors {
         &self.graph
     }
 
-    /// Node features (shared).
-    pub fn features(&self) -> Rc<Matrix> {
+    /// Node features in CSR form (shared).
+    pub fn features(&self) -> Rc<CsrMatrix> {
         self.features.clone()
+    }
+
+    /// The layer-1 input of a forward pass: the features, with inverted
+    /// dropout at rate `p` when `train` is set. The mask consumes `rng`
+    /// exactly as `Tape::dropout` on the dense features would (see
+    /// [`CsrMatrix::dropout`]).
+    pub fn input(&self, train: bool, p: f32, rng: &mut StdRng) -> Rc<CsrMatrix> {
+        if train && p > 0.0 {
+            Rc::new(self.features.dropout(p, rng))
+        } else {
+            self.features.clone()
+        }
     }
 
     /// GCN-normalised operator `D̂^{-1/2}(A+I)D̂^{-1/2}`.
@@ -372,6 +386,7 @@ impl Backbone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphrare_tensor::Matrix;
 
     fn toy() -> Graph {
         Graph::from_edges(

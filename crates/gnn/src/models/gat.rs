@@ -1,9 +1,11 @@
 //! Graph Attention Network (Veličković et al., ICLR 2018).
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use graphrare_tensor::{init, Matrix, Param, Tape, Var};
+use graphrare_tensor::{init, CsrMatrix, Matrix, Param, Tape, Var};
 
 use crate::model::{GnnModel, GraphTensors};
 
@@ -29,6 +31,18 @@ impl Head {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, x: Var) -> Var {
         let w = tape.param(&self.w);
         let wh = tape.matmul(x, w);
+        self.attend(tape, gt, wh)
+    }
+
+    /// [`forward`](Head::forward) on the constant sparse feature input.
+    fn forward_sparse(&self, tape: &mut Tape, gt: &GraphTensors, x: Rc<CsrMatrix>) -> Var {
+        let w = tape.param(&self.w);
+        let wh = tape.spmm(x, w);
+        self.attend(tape, gt, wh)
+    }
+
+    /// Attention over the projected features `wh = x·W`.
+    fn attend(&self, tape: &mut Tape, gt: &GraphTensors, wh: Var) -> Var {
         let al = tape.param(&self.a_l);
         let ar = tape.param(&self.a_r);
         let sl = tape.matmul(wh, al);
@@ -82,19 +96,16 @@ impl Gat {
     /// (diagnostic helper; re-runs a forward pass without dropout).
     pub fn first_layer_logits(&self, gt: &GraphTensors) -> Matrix {
         let mut tape = Tape::new();
-        let x = tape.constant((*gt.features()).clone());
-        let h = self.heads[0].forward(&mut tape, gt, x);
+        let h = self.heads[0].forward_sparse(&mut tape, gt, gt.features());
         tape.value(h).clone()
     }
 }
 
 impl GnnModel for Gat {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let head_outs: Vec<Var> = self.heads.iter().map(|h| h.forward(tape, gt, x)).collect();
+        let x = gt.input(train, self.dropout, rng);
+        let head_outs: Vec<Var> =
+            self.heads.iter().map(|h| h.forward_sparse(tape, gt, x.clone())).collect();
         let cat = if head_outs.len() == 1 { head_outs[0] } else { tape.concat_cols(&head_outs) };
         let mut h = tape.elu(cat, 1.0);
         if train && self.dropout > 0.0 {
@@ -128,6 +139,22 @@ mod tests {
             3,
         );
         GraphTensors::new(&g)
+    }
+
+    #[test]
+    fn sparse_input_matches_dense_reference() {
+        use crate::models::dense_reference::{assert_matches, dense_input};
+        let m = Gat::new(14, 8, 3, 2, 0.5, 2);
+        assert_matches(&m, |tape, gt, train, rng| {
+            let x = dense_input(tape, gt, train, m.dropout, rng);
+            let heads: Vec<Var> = m.heads.iter().map(|h| h.forward(tape, gt, x)).collect();
+            let cat = tape.concat_cols(&heads);
+            let mut h = tape.elu(cat, 1.0);
+            if train {
+                h = tape.dropout(h, m.dropout, rng);
+            }
+            m.out_head.forward(tape, gt, h)
+        });
     }
 
     #[test]

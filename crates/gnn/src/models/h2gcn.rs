@@ -67,17 +67,20 @@ impl H2gcn {
     }
 }
 
-impl GnnModel for H2gcn {
-    fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
+impl H2gcn {
+    /// Everything after the ego embedding `x·W_e`: ReLU, the one- and
+    /// two-hop rounds, the combined representation and the classifier.
+    fn aggregate(
+        &self,
+        tape: &mut Tape,
+        gt: &GraphTensors,
+        ego: Var,
+        train: bool,
+        rng: &mut StdRng,
+    ) -> Var {
         let one_hop = gt.row_norm();
         let two_hop = gt.two_hop();
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let ego = self.embed.forward(tape, x);
         let ego = tape.relu(ego);
-
         let mut reps = vec![ego];
         let mut current = ego;
         for _ in 0..self.rounds {
@@ -91,6 +94,14 @@ impl GnnModel for H2gcn {
             combined = tape.dropout(combined, self.dropout, rng);
         }
         self.classify.forward(tape, combined)
+    }
+}
+
+impl GnnModel for H2gcn {
+    fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
+        let x = gt.input(train, self.dropout, rng);
+        let ego = self.embed.forward_sparse(tape, x);
+        self.aggregate(tape, gt, ego, train, rng)
     }
 
     fn params(&self) -> Vec<Param> {
@@ -119,6 +130,17 @@ mod tests {
             2,
         );
         GraphTensors::new(&g)
+    }
+
+    #[test]
+    fn sparse_input_matches_dense_reference() {
+        use crate::models::dense_reference::{assert_matches, dense_input};
+        let m = H2gcn::new(14, 8, 3, 0.5, 2);
+        assert_matches(&m, |tape, gt, train, rng| {
+            let x = dense_input(tape, gt, train, m.dropout, rng);
+            let ego = m.embed.forward(tape, x);
+            m.aggregate(tape, gt, ego, train, rng)
+        });
     }
 
     #[test]

@@ -30,11 +30,8 @@ impl Mlp {
 
 impl GnnModel for Mlp {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let h = self.l1.forward(tape, x);
+        let x = gt.input(train, self.dropout, rng);
+        let h = self.l1.forward_sparse(tape, x);
         let mut h = tape.relu(h);
         if train && self.dropout > 0.0 {
             h = tape.dropout(h, self.dropout, rng);
@@ -58,6 +55,21 @@ mod tests {
     use super::*;
     use graphrare_graph::Graph;
     use graphrare_tensor::Matrix;
+
+    #[test]
+    fn sparse_input_matches_dense_reference() {
+        use crate::models::dense_reference::{assert_matches, dense_input};
+        let m = Mlp::new(14, 8, 3, 0.5, 2);
+        assert_matches(&m, |tape, gt, train, rng| {
+            let x = dense_input(tape, gt, train, m.dropout, rng);
+            let h = m.l1.forward(tape, x);
+            let mut h = tape.relu(h);
+            if train {
+                h = tape.dropout(h, m.dropout, rng);
+            }
+            m.l2.forward(tape, h)
+        });
+    }
 
     #[test]
     fn logits_shape_matches_classes() {

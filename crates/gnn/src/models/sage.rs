@@ -1,9 +1,11 @@
 //! GraphSAGE with mean aggregation (Hamilton et al., NeurIPS 2017).
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use graphrare_tensor::{Param, Tape, Var};
+use graphrare_tensor::{CsrMatrix, Param, Tape, Var};
 
 use crate::linear::Linear;
 use crate::model::{GnnModel, GraphTensors};
@@ -45,15 +47,22 @@ impl GraphSage {
         let b = nbr_lin.forward(tape, mean_nbr);
         tape.add(a, b)
     }
+
+    /// Layer 1 on the constant sparse feature input: the neighbour mean
+    /// `D⁻¹A·X` is itself constant, so it is assembled from the CSR rows
+    /// directly and both branches run as `spmm`.
+    fn input_layer(&self, tape: &mut Tape, gt: &GraphTensors, x: Rc<CsrMatrix>) -> Var {
+        let mean_nbr = Rc::new(gt.row_norm().spgemm(&x));
+        let a = self.self1.forward_sparse(tape, x);
+        let b = self.nbr1.forward_sparse(tape, mean_nbr);
+        tape.add(a, b)
+    }
 }
 
 impl GnnModel for GraphSage {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, train: bool, rng: &mut StdRng) -> Var {
-        let mut x = tape.constant((*gt.features()).clone());
-        if train && self.dropout > 0.0 {
-            x = tape.dropout(x, self.dropout, rng);
-        }
-        let h = self.layer(tape, gt, x, &self.self1, &self.nbr1);
+        let x = gt.input(train, self.dropout, rng);
+        let h = self.input_layer(tape, gt, x);
         let mut h = tape.relu(h);
         if train && self.dropout > 0.0 {
             h = tape.dropout(h, self.dropout, rng);
@@ -75,6 +84,21 @@ mod tests {
     use super::*;
     use graphrare_graph::Graph;
     use graphrare_tensor::Matrix;
+
+    #[test]
+    fn sparse_input_matches_dense_reference() {
+        use crate::models::dense_reference::{assert_matches, dense_input};
+        let m = GraphSage::new(14, 8, 3, 0.5, 2);
+        assert_matches(&m, |tape, gt, train, rng| {
+            let x = dense_input(tape, gt, train, m.dropout, rng);
+            let h = m.layer(tape, gt, x, &m.self1, &m.nbr1);
+            let mut h = tape.relu(h);
+            if train {
+                h = tape.dropout(h, m.dropout, rng);
+            }
+            m.layer(tape, gt, h, &m.self2, &m.nbr2)
+        });
+    }
 
     #[test]
     fn forward_shape_and_params() {

@@ -59,6 +59,7 @@ pub fn evaluate(
     labels: &[usize],
     mask: &[usize],
 ) -> EvalResult {
+    let _span = graphrare_telemetry::span("gnn.evaluate");
     let mut tape = Tape::new();
     // Dropout disabled: rng is unused but required by the signature.
     let mut rng = StdRng::seed_from_u64(0);
@@ -120,6 +121,10 @@ impl Trainer {
     }
 
     /// Runs one full-batch training step; returns the training loss.
+    ///
+    /// The `train.epoch` span splits into `train.forward` (forward pass
+    /// and loss), `train.backward` (gradient reset and reverse pass) and
+    /// `train.optim` (clipping and the Adam step).
     pub fn train_epoch(
         &mut self,
         model: &dyn GnnModel,
@@ -129,15 +134,25 @@ impl Trainer {
     ) -> f64 {
         assert!(!train_mask.is_empty(), "train_epoch: empty training mask");
         let _span = graphrare_telemetry::span("train.epoch");
-        zero_grads(&self.params);
         let mut tape = Tape::new();
-        let logits = model.forward(&mut tape, gt, true, &mut self.rng);
-        let lp = tape.log_softmax_rows(logits);
-        let loss = tape.nll_masked(lp, Rc::new(labels.to_vec()), Rc::new(train_mask.to_vec()));
+        let loss = {
+            let _span = graphrare_telemetry::span("train.forward");
+            let logits = model.forward(&mut tape, gt, true, &mut self.rng);
+            let lp = tape.log_softmax_rows(logits);
+            tape.nll_masked(lp, Rc::new(labels.to_vec()), Rc::new(train_mask.to_vec()))
+        };
         let loss_value = tape.value(loss).scalar_value() as f64;
-        tape.backward(loss);
-        clip_grad_norm(&self.params, self.grad_clip);
-        self.opt.step(&self.params);
+        {
+            let _span = graphrare_telemetry::span("train.backward");
+            zero_grads(&self.params);
+            tape.backward(loss);
+            drop(tape);
+        }
+        {
+            let _span = graphrare_telemetry::span("train.optim");
+            clip_grad_norm(&self.params, self.grad_clip);
+            self.opt.step(&self.params);
+        }
         graphrare_telemetry::counter("train.epochs", 1);
         graphrare_telemetry::emit_with(|| {
             graphrare_telemetry::Event::new("epoch").f64("train_loss", loss_value)

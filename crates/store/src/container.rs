@@ -62,18 +62,34 @@ impl ContainerWriter {
         self.push(name, SectionKind::Matrix, w.into_bytes());
     }
 
-    /// Adds a named parameter set (model or policy weights).
+    /// Adds a named parameter set (model or policy weights). The section
+    /// buffer is sized exactly up front: checkpoints of large policies run
+    /// concurrently in the serving daemon, and growing megabyte buffers by
+    /// doubling would hold old and new copies at once.
     pub fn put_param_set(&mut self, name: &str, params: &[(String, Matrix)]) {
-        let mut w = ByteWriter::new();
+        let size: usize =
+            4 + params.iter().map(|(n, m)| 2 + n.len() + 8 + m.as_slice().len() * 4).sum::<usize>();
+        let mut w = ByteWriter::with_capacity(size);
         section::encode_param_set(&mut w, params);
-        self.push(name, SectionKind::ParamSet, w.into_bytes());
+        let bytes = w.into_bytes();
+        debug_assert_eq!(bytes.len(), size, "param set size estimate");
+        self.push(name, SectionKind::ParamSet, bytes);
     }
 
-    /// Adds Adam optimiser state.
+    /// Adds Adam optimiser state (sized exactly up front, as
+    /// [`put_param_set`](ContainerWriter::put_param_set)).
     pub fn put_adam(&mut self, name: &str, snap: &AdamSnapshot) {
-        let mut w = ByteWriter::new();
+        let size: usize = 12
+            + snap
+                .moments
+                .iter()
+                .map(|(m, v)| 16 + (m.as_slice().len() + v.as_slice().len()) * 4)
+                .sum::<usize>();
+        let mut w = ByteWriter::with_capacity(size);
         section::encode_adam(&mut w, snap);
-        self.push(name, SectionKind::AdamState, w.into_bytes());
+        let bytes = w.into_bytes();
+        debug_assert_eq!(bytes.len(), size, "adam state size estimate");
+        self.push(name, SectionKind::AdamState, bytes);
     }
 
     /// Adds an RNG stream state.

@@ -5,6 +5,16 @@
 //! [`CsrMatrix::spmm`]. The autograd tape treats a CSR operand as a constant:
 //! gradients only flow through the dense side, which matches how GNN
 //! propagation matrices are used in the paper.
+//!
+//! The node feature input is the other constant operand: bag-of-words
+//! features are a few percent dense, so models and entropy tables hold
+//! them in CSR form ([`CsrMatrix::from_dense`]) and pay only for their
+//! non-zeros. Every product here adds its terms in the same per-element
+//! order as the zero-skipping dense kernels, and a skipped zero product
+//! is an exact no-op on an accumulator that starts at `+0.0`, so the
+//! sparse paths are bit-identical to their dense counterparts.
+
+use rand::Rng;
 
 use crate::matrix::Matrix;
 use crate::parallel;
@@ -101,6 +111,16 @@ impl CsrMatrix {
         let mut scratch: Vec<(usize, f32)> = Vec::new();
         out.rebuild_from_row_builder(rows, cols, &mut scratch, build);
         out
+    }
+
+    /// The CSR form of a dense matrix: exactly its non-zero entries, in
+    /// row-major order.
+    pub fn from_dense(m: &Matrix) -> Self {
+        Self::from_row_builder(m.rows(), m.cols(), |r, out| {
+            out.extend(
+                m.row(r).iter().enumerate().filter(|(_, &v)| v != 0.0).map(|(c, &v)| (c, v)),
+            );
+        })
     }
 
     /// An empty `0 x 0` matrix, the seed for
@@ -262,6 +282,117 @@ impl CsrMatrix {
         assert_eq!(self.cols, v.len(), "spmv: dimension mismatch");
         let _kernel = kernel_telemetry!("spmv", self.rows);
         parallel::par_map(self.rows, |r| self.row_entries_inner(r).map(|(c, w)| w * v[c]).sum())
+    }
+
+    /// Sparse-sparse product `self * rhs`.
+    ///
+    /// Each output element adds its terms in ascending order of `self`'s
+    /// column, exactly as [`spmm`](CsrMatrix::spmm) against
+    /// `rhs.to_dense()` does; the zero terms that product would add are
+    /// no-ops, and entries that sum to zero are left out, so the result
+    /// equals `CsrMatrix::from_dense(&self.spmm(&rhs.to_dense()))` bit
+    /// for bit.
+    pub fn spgemm(&self, rhs: &CsrMatrix) -> CsrMatrix {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "spgemm: {}x{} * {}x{} dimension mismatch",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        let _kernel = kernel_telemetry!("spgemm", self.rows);
+        let mut acc = vec![0f32; rhs.cols];
+        let mut touched: Vec<usize> = Vec::new();
+        Self::from_row_builder(self.rows, rhs.cols, |r, out| {
+            for (k, v) in self.row_entries_inner(r) {
+                for (c, x) in rhs.row_entries_inner(k) {
+                    if acc[c] == 0.0 {
+                        touched.push(c);
+                    }
+                    acc[c] += v * x;
+                }
+            }
+            // A column can re-enter `touched` after cancelling to zero;
+            // the sort + dedup keeps one entry per column.
+            touched.sort_unstable();
+            touched.dedup();
+            for &c in &touched {
+                if acc[c] != 0.0 {
+                    out.push((c, acc[c]));
+                }
+                acc[c] = 0.0;
+            }
+            touched.clear();
+        })
+    }
+
+    /// Inverted dropout with keep-probability `1 - p`: each stored entry
+    /// survives as `x * (1 / keep)` or is dropped.
+    ///
+    /// One `rng.gen::<f32>()` is drawn per logical `(row, col)` position
+    /// in row-major order, zeros included — the exact stream
+    /// `Tape::dropout` consumes on `self.to_dense()` — so masks, and the
+    /// RNG state afterwards, match the dense op draw for draw.
+    pub fn dropout(&self, p: f32, rng: &mut impl Rng) -> CsrMatrix {
+        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
+        let keep = 1.0 - p;
+        let scale = 1.0 / keep;
+        Self::from_row_builder(self.rows, self.cols, |r, out| {
+            let mut next = 0;
+            for (c, x) in self.row_entries_inner(r) {
+                for _ in next..c {
+                    rng.gen::<f32>();
+                }
+                next = c + 1;
+                if rng.gen::<f32>() < keep {
+                    let v = x * scale;
+                    if v != 0.0 {
+                        out.push((c, v));
+                    }
+                }
+            }
+            for _ in next..self.cols {
+                rng.gen::<f32>();
+            }
+        })
+    }
+
+    /// `f32` dot product of rows `i` and `j`: a sorted-index intersection
+    /// accumulated from `+0.0` in ascending column order, bit-identical
+    /// to the dense `Σ_c a_c · b_c` loop on non-negative rows (a pair
+    /// with disjoint support scores `+0.0`).
+    pub fn row_dot(&self, i: usize, j: usize) -> f32 {
+        let mut acc = 0.0f32;
+        self.intersect(i, j, |x, y| acc += x * y);
+        acc
+    }
+
+    /// [`row_dot`](CsrMatrix::row_dot) with each product and the sum
+    /// taken in `f64`.
+    pub fn row_dot_f64(&self, i: usize, j: usize) -> f64 {
+        let mut acc = 0.0f64;
+        self.intersect(i, j, |x, y| acc += x as f64 * y as f64);
+        acc
+    }
+
+    /// Calls `f(self[i, c], self[j, c])` for every column `c` stored in
+    /// both rows, in ascending column order.
+    #[inline]
+    fn intersect(&self, i: usize, j: usize, mut f: impl FnMut(f32, f32)) {
+        let (a_lo, a_hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        let (b_lo, b_hi) = (self.row_ptr[j], self.row_ptr[j + 1]);
+        let (a_cols, a_vals) = (&self.col_idx[a_lo..a_hi], &self.values[a_lo..a_hi]);
+        let (b_cols, b_vals) = (&self.col_idx[b_lo..b_hi], &self.values[b_lo..b_hi]);
+        let (mut p, mut q) = (0, 0);
+        while p < a_cols.len() && q < b_cols.len() {
+            match a_cols[p].cmp(&b_cols[q]) {
+                std::cmp::Ordering::Less => p += 1,
+                std::cmp::Ordering::Greater => q += 1,
+                std::cmp::Ordering::Equal => {
+                    f(a_vals[p], b_vals[q]);
+                    p += 1;
+                    q += 1;
+                }
+            }
+        }
     }
 
     /// Converts to a dense matrix (test/debug helper).
@@ -481,6 +612,86 @@ mod tests {
         let x = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
         let id = CsrMatrix::identity(4);
         assert_eq!(id.spmm(&x), x);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A sparse non-negative matrix with an all-zero row.
+    fn sparse_features() -> Matrix {
+        Matrix::from_fn(6, 9, |r, c| {
+            if r == 3 || (r * 7 + c * 5) % 4 != 0 {
+                0.0
+            } else {
+                0.25 * (c + 1) as f32
+            }
+        })
+    }
+
+    #[test]
+    fn from_dense_keeps_exactly_the_nonzeros() {
+        let d = sparse_features();
+        let m = CsrMatrix::from_dense(&d);
+        assert_eq!(m.to_dense(), d);
+        assert_eq!(m.nnz(), d.as_slice().iter().filter(|&&v| v != 0.0).count());
+        assert_eq!(m.row_nnz(3), 0);
+    }
+
+    #[test]
+    fn dropout_matches_tape_dropout_and_rng_stream() {
+        use crate::Tape;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let d = sparse_features();
+        let m = CsrMatrix::from_dense(&d);
+        let mut dense_rng = StdRng::seed_from_u64(11);
+        let mut t = Tape::new();
+        let x = t.constant(d);
+        let y = t.dropout(x, 0.5, &mut dense_rng);
+        let mut sparse_rng = StdRng::seed_from_u64(11);
+        let dropped = m.dropout(0.5, &mut sparse_rng);
+        assert_eq!(bits(&dropped.to_dense()), bits(t.value(y)));
+        assert!(dropped.nnz() < m.nnz(), "half the entries should drop");
+        assert_eq!(sparse_rng.gen::<f32>().to_bits(), dense_rng.gen::<f32>().to_bits());
+    }
+
+    #[test]
+    fn spgemm_matches_dense_spmm_bitwise() {
+        let a = CsrMatrix::from_triplets(
+            4,
+            6,
+            &[(0, 0, 0.5), (0, 2, 0.5), (1, 1, 1.0), (2, 0, 0.3), (2, 4, 0.3), (2, 5, 0.4)],
+        );
+        let b = CsrMatrix::from_dense(&sparse_features());
+        let got = a.spgemm(&b);
+        let want = a.spmm(&b.to_dense());
+        assert_eq!(bits(&got.to_dense()), bits(&want));
+        assert_eq!(got, CsrMatrix::from_dense(&want));
+        assert_eq!(got.row_nnz(3), 0, "empty operator row");
+    }
+
+    #[test]
+    fn spgemm_drops_cancelled_entries() {
+        let a = CsrMatrix::from_triplets(1, 2, &[(0, 0, 1.0), (0, 1, -1.0)]);
+        let b = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 0, 2.0), (1, 1, 3.0)]);
+        let got = a.spgemm(&b);
+        assert_eq!(got.row_entries(0).collect::<Vec<_>>(), vec![(1, -3.0)]);
+    }
+
+    #[test]
+    fn row_dots_are_intersections() {
+        let m = CsrMatrix::from_dense(&Matrix::from_vec(
+            3,
+            4,
+            vec![1.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 4.0, 5.0, 6.0, 7.0, 0.0],
+        ));
+        assert_eq!(m.row_dot(0, 2), 1.0 * 5.0 + 2.0 * 7.0);
+        assert_eq!(m.row_dot_f64(1, 2), 3.0 * 6.0);
+        assert_eq!(m.row_dot(1, 1), 9.0 + 16.0);
+        // Disjoint support: exactly +0.0, not the -0.0 of an empty sum.
+        assert_eq!(m.row_dot(0, 1).to_bits(), 0.0f32.to_bits());
+        assert_eq!(m.row_dot_f64(0, 1).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -716,9 +716,7 @@ impl Tape {
             let contributions = self.backward_step(i, &g);
             self.nodes[i].grad = Some(g);
             for (parent, grad) in contributions {
-                if !self.nodes[parent].needs_grad {
-                    continue;
-                }
+                debug_assert!(self.nodes[parent].needs_grad, "contribution to a constant");
                 match &mut self.nodes[parent].grad {
                     Some(acc) => acc.add_assign(&grad),
                     slot @ None => *slot = Some(grad),
@@ -732,43 +730,76 @@ impl Tape {
         }
     }
 
-    /// Gradient contributions of node `i` (with output gradient `g`) to its
-    /// parents.
+    /// Pushes parent `p`'s contribution, built by `grad`, only when `p`
+    /// needs a gradient: a constant operand (the feature input of layer 1,
+    /// a fixed mask) never pays for a gradient nobody reads.
+    fn push_grad(&self, out: &mut Vec<(usize, Matrix)>, p: usize, grad: impl FnOnce() -> Matrix) {
+        if self.nodes[p].needs_grad {
+            out.push((p, grad()));
+        }
+    }
+
+    /// [`push_grad`](Tape::push_grad) for both parents of a binary op.
+    fn binary_grads(
+        &self,
+        a: usize,
+        da: impl FnOnce() -> Matrix,
+        b: usize,
+        db: impl FnOnce() -> Matrix,
+    ) -> Vec<(usize, Matrix)> {
+        let mut out = Vec::with_capacity(2);
+        self.push_grad(&mut out, a, da);
+        self.push_grad(&mut out, b, db);
+        out
+    }
+
+    /// Gradient contributions of node `i` (with output gradient `g`) to
+    /// those of its parents that need a gradient. A node that needs a
+    /// gradient has at least one such parent, so single-parent ops
+    /// contribute unconditionally; multi-parent ops build only the
+    /// contributions that [`Tape::backward`] will accumulate.
     fn backward_step(&self, i: usize, g: &Matrix) -> Vec<(usize, Matrix)> {
         let out_val = &self.nodes[i].value;
         match &self.nodes[i].op {
             Op::Leaf => Vec::new(),
-            Op::MatMul(a, b) => {
-                let da = g.matmul_nt(self.val(*b));
-                let db = self.val(*a).matmul_tn(g);
-                vec![(*a, da), (*b, db)]
-            }
+            Op::MatMul(a, b) => self.binary_grads(
+                *a,
+                || g.matmul_nt(self.val(*b)),
+                *b,
+                || self.val(*a).matmul_tn(g),
+            ),
             Op::SpMM { m, x } => vec![(*x, m.spmm_t(g))],
-            Op::Add(a, b) => vec![(*a, g.clone()), (*b, g.clone())],
-            Op::Sub(a, b) => vec![(*a, g.clone()), (*b, g.map(|v| -v))],
+            Op::Add(a, b) => self.binary_grads(*a, || g.clone(), *b, || g.clone()),
+            Op::Sub(a, b) => self.binary_grads(*a, || g.clone(), *b, || g.map(|v| -v)),
             Op::Mul(a, b) => {
-                let da = g.mul_elem(self.val(*b));
-                let db = g.mul_elem(self.val(*a));
-                vec![(*a, da), (*b, db)]
+                self.binary_grads(*a, || g.mul_elem(self.val(*b)), *b, || g.mul_elem(self.val(*a)))
             }
             Op::Div(a, b) => {
                 let bv = self.val(*b);
-                let da = g.zip(bv, |gi, bi| gi / bi);
-                let db = g.zip(self.val(*a), |gi, ai| gi * ai).zip(bv, |t, bi| -t / (bi * bi));
-                vec![(*a, da), (*b, db)]
+                self.binary_grads(
+                    *a,
+                    || g.zip(bv, |gi, bi| gi / bi),
+                    *b,
+                    || g.zip(self.val(*a), |gi, ai| gi * ai).zip(bv, |t, bi| -t / (bi * bi)),
+                )
             }
             Op::Neg(a) => vec![(*a, g.map(|v| -v))],
             Op::Scale(a, c) => vec![(*a, g.scale(*c))],
             Op::AddScalar(a) => vec![(*a, g.clone())],
-            Op::AddBias { x, bias } => {
-                let mut db = Matrix::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for (o, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                        *o += v;
+            Op::AddBias { x, bias } => self.binary_grads(
+                *x,
+                || g.clone(),
+                *bias,
+                || {
+                    let mut db = Matrix::zeros(1, g.cols());
+                    for r in 0..g.rows() {
+                        for (o, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+                            *o += v;
+                        }
                     }
-                }
-                vec![(*x, g.clone()), (*bias, db)]
-            }
+                    db
+                },
+            ),
             Op::Relu(a) => vec![(*a, g.zip(self.val(*a), |gi, x| if x > 0.0 { gi } else { 0.0 }))],
             Op::LeakyRelu(a, s) => {
                 vec![(*a, g.zip(self.val(*a), |gi, x| if x > 0.0 { gi } else { gi * s }))]
@@ -798,16 +829,22 @@ impl Tape {
             Op::MinElem(a, b) => {
                 let av = self.val(*a);
                 let bv = self.val(*b);
-                let da = g.zip(&av.zip(bv, |x, y| if x <= y { 1.0 } else { 0.0 }), |gi, m| gi * m);
-                let db = g.zip(&av.zip(bv, |x, y| if x <= y { 0.0 } else { 1.0 }), |gi, m| gi * m);
-                vec![(*a, da), (*b, db)]
+                self.binary_grads(
+                    *a,
+                    || g.zip(&av.zip(bv, |x, y| if x <= y { 1.0 } else { 0.0 }), |gi, m| gi * m),
+                    *b,
+                    || g.zip(&av.zip(bv, |x, y| if x <= y { 0.0 } else { 1.0 }), |gi, m| gi * m),
+                )
             }
             Op::MaxElem(a, b) => {
                 let av = self.val(*a);
                 let bv = self.val(*b);
-                let da = g.zip(&av.zip(bv, |x, y| if x >= y { 1.0 } else { 0.0 }), |gi, m| gi * m);
-                let db = g.zip(&av.zip(bv, |x, y| if x >= y { 0.0 } else { 1.0 }), |gi, m| gi * m);
-                vec![(*a, da), (*b, db)]
+                self.binary_grads(
+                    *a,
+                    || g.zip(&av.zip(bv, |x, y| if x >= y { 1.0 } else { 0.0 }), |gi, m| gi * m),
+                    *b,
+                    || g.zip(&av.zip(bv, |x, y| if x >= y { 0.0 } else { 1.0 }), |gi, m| gi * m),
+                )
             }
             Op::LogSoftmaxRows(a) => {
                 // dx = g − softmax(x) * rowsum(g); softmax(x) = exp(out).
@@ -840,11 +877,13 @@ impl Tape {
                 let mut start = 0;
                 for &p in parts {
                     let w = self.val(p).cols();
-                    let mut dp = Matrix::zeros(g.rows(), w);
-                    for r in 0..g.rows() {
-                        dp.row_mut(r).copy_from_slice(&g.row(r)[start..start + w]);
-                    }
-                    out.push((p, dp));
+                    self.push_grad(&mut out, p, || {
+                        let mut dp = Matrix::zeros(g.rows(), w);
+                        for r in 0..g.rows() {
+                            dp.row_mut(r).copy_from_slice(&g.row(r)[start..start + w]);
+                        }
+                        dp
+                    });
                     start += w;
                 }
                 out
@@ -897,6 +936,9 @@ impl Tape {
                 vec![(*logp, dl)]
             }
             Op::EdgeAttention { wh, sl, sr, nbrs, slope } => {
+                // One fused pass yields all three gradients (the score
+                // gradients need the same per-edge dots as `dwh`); only
+                // the `dwh` scatter is skipped for a constant `wh`.
                 let (dwh, dsl, dsr) = edge_attention_backward(
                     self.val(*wh),
                     self.val(*sl),
@@ -904,8 +946,15 @@ impl Tape {
                     nbrs,
                     *slope,
                     g,
+                    self.nodes[*wh].needs_grad,
                 );
-                vec![(*wh, dwh), (*sl, dsl), (*sr, dsr)]
+                let mut out = Vec::with_capacity(3);
+                if let Some(dwh) = dwh {
+                    out.push((*wh, dwh));
+                }
+                self.push_grad(&mut out, *sl, || dsl);
+                self.push_grad(&mut out, *sr, || dsr);
+                out
             }
             Op::MultiDiscreteLogProb { logits, arity, actions } => {
                 let lg = self.val(*logits);
@@ -1007,6 +1056,8 @@ fn edge_attention_forward(
     (out, alphas)
 }
 
+/// Backward of the fused attention op; `dwh` is built only when
+/// `need_dwh` is set.
 fn edge_attention_backward(
     wh: &Matrix,
     sl: &Matrix,
@@ -1014,10 +1065,11 @@ fn edge_attention_backward(
     nbrs: &AdjList,
     slope: f32,
     g: &Matrix,
-) -> (Matrix, Matrix, Matrix) {
+    need_dwh: bool,
+) -> (Option<Matrix>, Matrix, Matrix) {
     let n = nbrs.len();
     let (_, alphas) = edge_attention_forward(wh, sl, sr, nbrs, slope);
-    let mut dwh = Matrix::zeros(wh.rows(), wh.cols());
+    let mut dwh = need_dwh.then(|| Matrix::zeros(wh.rows(), wh.cols()));
     let mut dsl = Matrix::zeros(n, 1);
     let mut dsr = Matrix::zeros(n, 1);
     for (i, alpha) in alphas.iter().enumerate() {
@@ -1028,10 +1080,18 @@ fn edge_attention_backward(
         for (&j, &a) in neigh.iter().zip(alpha) {
             let mut dot = 0.0;
             let wh_row = wh.row(j);
-            let dwh_row = dwh.row_mut(j);
-            for ((&gv, &wv), dw) in g_row.iter().zip(wh_row).zip(dwh_row) {
-                dot += gv * wv;
-                *dw += a * gv;
+            match dwh.as_mut() {
+                Some(dwh) => {
+                    for ((&gv, &wv), dw) in g_row.iter().zip(wh_row).zip(dwh.row_mut(j)) {
+                        dot += gv * wv;
+                        *dw += a * gv;
+                    }
+                }
+                None => {
+                    for (&gv, &wv) in g_row.iter().zip(wh_row) {
+                        dot += gv * wv;
+                    }
+                }
             }
             dalpha.push(dot);
         }
@@ -1332,6 +1392,70 @@ mod tests {
         t.backward(s);
         assert!(t.grad(c).is_none());
         assert!(t.grad(x).is_some());
+    }
+
+    /// Parents that receive a contribution from the tape's last node.
+    fn contributed_parents(t: &Tape, out: Var) -> Vec<usize> {
+        let g = Matrix::filled(t.value(out).rows(), t.value(out).cols(), 0.5);
+        t.backward_step(out.idx, &g).into_iter().map(|(p, _)| p).collect()
+    }
+
+    #[test]
+    fn multi_parent_ops_skip_constant_parents() {
+        let c = Matrix::from_vec(2, 2, vec![1.0, 4.0, 2.0, 3.0]);
+        let x = Matrix::from_vec(2, 2, vec![0.5, -1.0, 1.5, 2.0]);
+        type Build = fn(&mut Tape, Var, Var) -> Var;
+        let binary: [(&str, Build); 7] = [
+            ("matmul", |t, a, b| t.matmul(a, b)),
+            ("add", |t, a, b| t.add(a, b)),
+            ("sub", |t, a, b| t.sub(a, b)),
+            ("mul", |t, a, b| t.mul(a, b)),
+            ("div", |t, a, b| t.div(a, b)),
+            ("min_elem", |t, a, b| t.min_elem(a, b)),
+            ("max_elem", |t, a, b| t.max_elem(a, b)),
+        ];
+        for (name, op) in binary {
+            for constant_first in [true, false] {
+                let mut t = Tape::new();
+                let vc = t.constant(c.clone());
+                let vx = t.leaf(x.clone());
+                let (a, b) = if constant_first { (vc, vx) } else { (vx, vc) };
+                let out = op(&mut t, a, b);
+                assert_eq!(contributed_parents(&t, out), vec![vx.idx], "{name}");
+            }
+        }
+        let mut t = Tape::new();
+        let vc = t.constant(c.clone());
+        let bias = t.leaf(Matrix::row_vector(&[0.1, 0.2]));
+        let out = t.add_bias(vc, bias);
+        assert_eq!(contributed_parents(&t, out), vec![bias.idx], "add_bias");
+        let vx = t.leaf(x.clone());
+        let out = t.concat_cols(&[vc, vx, vc]);
+        assert_eq!(contributed_parents(&t, out), vec![vx.idx], "concat_cols");
+        let nbrs = Rc::new(AdjList::from_neighbor_lists(&[vec![0, 1], vec![1, 0]]));
+        let sl = t.leaf(Matrix::column(&[0.2, -0.4]));
+        let sr = t.constant(Matrix::column(&[-0.1, 0.5]));
+        let out = t.edge_attention(vc, sl, sr, nbrs, 0.2);
+        assert_eq!(contributed_parents(&t, out), vec![sl.idx], "edge_attention");
+    }
+
+    #[test]
+    fn constant_skip_keeps_param_gradients_bit_identical() {
+        // d(sum(C·W))/dW is Cᵀ·1 whichever parents receive gradients.
+        let c =
+            Matrix::from_fn(5, 4, |r, k| if (r + k) % 3 == 0 { 0.0 } else { r as f32 - k as f32 });
+        let w = Matrix::from_fn(4, 3, |k, j| 0.1 * (k * 3 + j) as f32 - 0.4);
+        let mut t = Tape::new();
+        let vc = t.constant(c.clone());
+        let vw = t.leaf(w);
+        let y = t.matmul(vc, vw);
+        let s = t.sum_all(y);
+        t.backward(s);
+        let want = c.matmul_tn(&Matrix::ones(5, 3));
+        let got = t.grad(vw).unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&want));
+        assert!(t.grad(vc).is_none());
     }
 
     #[test]

@@ -19,8 +19,51 @@ fn arb_square(max_dim: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// A non-negative matrix with about three quarters of its entries zero
+/// (bag-of-words-like) and row `zero_row % rows` forced all-zero.
+fn arb_sparse_nonneg(max_dim: usize) -> impl Strategy<Value = Matrix> {
+    (1..=max_dim, 1..=3 * max_dim, 0usize..64).prop_flat_map(|(r, c, zero_row)| {
+        proptest::collection::vec(-3.0f32..1.0, r * c).prop_map(move |data| {
+            let mut m = Matrix::from_vec(r, c, data.into_iter().map(|v| v.max(0.0)).collect());
+            m.row_mut(zero_row % r).fill(0.0);
+            m
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sparse_row_dots_are_bit_identical_to_dense_loops(m in arb_sparse_nonneg(7)) {
+        // The dense reference loops exactly as the entropy tables and
+        // rewirers computed them before they switched to CSR.
+        let csr = CsrMatrix::from_dense(&m);
+        for i in 0..m.rows() {
+            for j in 0..m.rows() {
+                let (a, b) = (m.row(i), m.row(j));
+                let dense64: f64 = a.iter().zip(b).map(|(&x, &y)| (x as f64) * (y as f64)).sum();
+                let dense32: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+                prop_assert_eq!(csr.row_dot_f64(i, j).to_bits(), dense64.to_bits());
+                prop_assert_eq!(csr.row_dot(i, j).to_bits(), dense32.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_products_are_bit_identical_to_dense(
+        m in arb_sparse_nonneg(6),
+        seed in 0u64..1000,
+    ) {
+        // Layer-1 forward (X·W) and backward (Xᵀ·G) on the CSR input match
+        // the zero-skipping dense kernels bit for bit.
+        let csr = CsrMatrix::from_dense(&m);
+        let w = Matrix::from_fn(m.cols(), 3, |k, j| ((seed as usize + 7 * k + j) % 11) as f32 - 5.0);
+        let g = Matrix::from_fn(m.rows(), 3, |r, j| ((seed as usize + 3 * r + j) % 7) as f32 * 0.3 - 1.0);
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&csr.spmm(&w)), bits(&m.matmul(&w)));
+        prop_assert_eq!(bits(&csr.spmm_t(&g)), bits(&m.matmul_tn(&g)));
+    }
 
     #[test]
     fn transpose_is_involution(m in arb_matrix(8)) {

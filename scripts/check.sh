@@ -59,6 +59,17 @@ target/release/telemetry_lint "$smoke_dir/events_refresh.jsonl"
 grep -q '"event": *"sequence_refresh"' "$smoke_dir/events_refresh.jsonl" ||
     { echo "expected sequence_refresh events in the refresh-enabled smoke" >&2; exit 1; }
 
+echo "==> output-identity smoke (run outputs must match the committed digests)"
+# Every backbone x rewirer pair on the toy fixture: the sha256 of the
+# --output graph files and the --save-model artifact must equal the
+# committed listing, so a change that moves any output bit fails here.
+# The header of scripts/output_digests.sh says how to regenerate it.
+scripts/output_digests.sh target/release > "$smoke_dir/output_digests.txt"
+if ! diff scripts/baselines/output_digests.txt "$smoke_dir/output_digests.txt"; then
+    echo "run outputs differ from scripts/baselines/output_digests.txt" >&2
+    exit 1
+fi
+
 echo "==> checkpoint/resume smoke (killed run must match uninterrupted run)"
 cargo build -q --release -p graphrare-bench --bin store_dump
 target/release/graphrare \
