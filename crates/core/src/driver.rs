@@ -179,8 +179,9 @@ pub struct RareDriver {
     run_clock: telemetry::Stopwatch,
     run_span: Option<telemetry::SpanGuard>,
     /// Incremental entropy engine, present iff `entropy_refresh_every > 0`:
-    /// fed every rewire delta so its table/sequences mirror `G_t`, and
-    /// consulted at refresh boundaries instead of a from-scratch build.
+    /// synced to `G_t` only at refresh boundaries (one net flip batch
+    /// since the previous boundary) and read there instead of a
+    /// from-scratch build.
     engine: Option<IncrementalEntropy>,
     /// The construction-time graph, kept only when refreshes can re-anchor
     /// `topo.base()` away from it (for the final report's original
@@ -247,8 +248,7 @@ impl RareDriver {
 
     /// Sequence construction, plus the incremental entropy engine when
     /// `entropy_refresh_every > 0`. The engine owns its own copy of the
-    /// table and sequences and mirrors every edge flip the rewiring
-    /// applies, so a refresh boundary can re-rank against the *current*
+    /// table and sequences; a refresh boundary syncs it to the *current*
     /// graph at dirty-rows cost instead of a from-scratch rebuild.
     fn init_sequences(
         graph: &Graph,
@@ -443,21 +443,6 @@ impl RareDriver {
         };
         self.state.apply(&actions);
         self.rewired.apply_into(&self.topo, &self.state, &mut self.delta)?;
-        let delta = &self.delta;
-        if let Some(engine) = self.engine.as_mut() {
-            if !delta.is_empty() {
-                // Mirror the transition into the incremental engine so its
-                // H_s table and rankings track G_t at dirty-rows cost.
-                let _span = telemetry::span("rewire.entropy_refresh");
-                let flips: Vec<(usize, usize, bool)> = delta
-                    .removed
-                    .iter()
-                    .map(|&(u, v)| (u, v, false))
-                    .chain(delta.added.iter().map(|&(u, v)| (u, v, true)))
-                    .collect();
-                engine.apply_flips(&flips);
-            }
-        }
         let gt = self.rewired.tensors();
 
         // Lines 9–13: evaluate; fine-tune on improvement.
@@ -574,19 +559,15 @@ impl RareDriver {
         Ok(true)
     }
 
-    /// Refresh boundary: swap in rankings recomputed against the current
-    /// rewired graph (maintained incrementally by the engine) and
-    /// re-anchor the topology optimiser on it. The DRL counters reset —
+    /// Refresh boundary: sync the engine to the current rewired graph (one
+    /// net flip batch since the previous boundary), swap in its rankings
+    /// and re-anchor the topology optimiser on them. The DRL counters reset —
     /// the refreshed deletion sequences list *current* neighbours, so
     /// `G_t` becomes the new `S_0` and the agent observes a state jump.
     fn refresh_sequences(&mut self) {
         let _span = telemetry::span("rewire.entropy_refresh");
-        let engine = self.engine.as_ref().expect("refresh_sequences requires the engine");
-        debug_assert_eq!(
-            engine.graph().edge_vec(),
-            self.rewired.graph().edge_vec(),
-            "incremental engine fell out of sync with the rewired graph"
-        );
+        let engine = self.engine.as_mut().expect("refresh_sequences requires the engine");
+        engine.sync_to(self.rewired.graph());
         let sequences = match self.cfg.sequence_mode {
             SequenceMode::Entropy => engine.sequences().clone(),
             SequenceMode::Shuffled { seed } => engine.sequences().shuffled(seed),
@@ -1106,32 +1087,65 @@ mod tests {
         assert!(same.restore(&bad).is_err());
     }
 
+    /// At every refresh boundary the optimiser's rankings equal a
+    /// from-scratch build on the current rewired graph — the incremental
+    /// engine's contract — both when each boundary follows one step and
+    /// when the engine coalesces three steps of flips into one sync. The
+    /// engine also runs exactly once per read: under this test's own root
+    /// span (the registry is process-global and other tests run
+    /// concurrently), the `entropy.incremental_refresh` count equals the
+    /// count of boundary spans, each of which bumps
+    /// `rewire.entropy_refreshes` once.
     #[test]
     fn refresh_boundary_matches_fresh_build() {
         let (g, split) = heterophilic_fixture();
-        let mut cfg = GraphRareConfig::fast().with_seed(23);
-        cfg.entropy_refresh_every = 1;
-        let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
-        for _ in 0..3 {
-            assert!(driver.step());
+        for (every, root_name) in [(1, "test.refresh_every_1"), (3, "test.refresh_every_3")] {
+            let mut cfg = GraphRareConfig::fast().with_seed(23);
+            cfg.entropy_refresh_every = every;
+            cfg.steps = 10;
+            telemetry::set_enabled(true);
+            let root = telemetry::span(root_name);
+            let mut driver = RareDriver::new(&g, &split, Backbone::Gcn, &cfg);
+            let mut boundaries = 0u64;
+            while driver.step() {
+                if driver.step.is_multiple_of(every) && !driver.is_done() {
+                    boundaries += 1;
+                    let current = driver.rewired.graph();
+                    let table = RelativeEntropyTable::new(current, &cfg.entropy);
+                    let fresh = EntropySequences::build(current, &table, &cfg.sequences);
+                    assert_eq!(
+                        driver.topo.sequences(),
+                        &fresh,
+                        "every {every}, step {}",
+                        driver.step
+                    );
+                    assert_eq!(driver.topo.base().edge_vec(), current.edge_vec());
+                }
+            }
+            // The re-anchored optimiser drives the run to a full report.
+            let report = driver.finish();
+            drop(root);
+            let summary = telemetry::snapshot();
+            telemetry::set_enabled(false);
+            assert_eq!(report.traces.train_acc.len(), cfg.steps);
+            assert_eq!(
+                report.original_homophily,
+                graphrare_graph::metrics::homophily_ratio(&g),
+                "original_homophily must be measured on G_0, not the re-anchored base"
+            );
+            let spans_under = |leaf: &str| -> u64 {
+                summary
+                    .paths
+                    .iter()
+                    .filter(|p| p.path.starts_with(&format!("{root_name}/")))
+                    .filter(|p| p.path.ends_with(&format!("/{leaf}")))
+                    .map(|p| p.count)
+                    .sum()
+            };
+            assert_eq!(boundaries, (cfg.steps as u64 - 1) / every as u64);
+            assert_eq!(spans_under("rewire.entropy_refresh"), boundaries, "every {every}");
+            assert_eq!(spans_under("entropy.incremental_refresh"), boundaries, "every {every}");
         }
-        // After each step a refresh boundary fired (refresh_every = 1), so
-        // the optimiser's rankings must equal a from-scratch build against
-        // the current rewired graph — the incremental engine's contract.
-        let current = driver.rewired.graph();
-        let table = RelativeEntropyTable::new(current, &cfg.entropy);
-        let fresh = EntropySequences::build(current, &table, &cfg.sequences);
-        assert_eq!(driver.topo.sequences(), &fresh);
-        assert_eq!(driver.topo.base().edge_vec(), current.edge_vec());
-        // And the re-anchored optimiser still drives a full run to completion.
-        driver.run_to_end();
-        let report = driver.finish();
-        assert_eq!(report.traces.train_acc.len(), cfg.steps);
-        assert_eq!(
-            report.original_homophily,
-            graphrare_graph::metrics::homophily_ratio(&g),
-            "original_homophily must be measured on G_0, not the re-anchored base"
-        );
     }
 
     #[test]

@@ -49,6 +49,17 @@
 //! the structural table and sequences outright — still skipping the
 //! feature table and its frozen rescale range, which no flip can
 //! invalidate.
+//!
+//! ## Syncing at read time
+//!
+//! A caller that reads the rankings only now and then need not feed every
+//! batch as it happens. [`IncrementalEntropy::sync_to`] diffs the graph
+//! mirror against the graph the caller holds and applies the net flips as
+//! one batch; since every batch ends bit-identical to a fresh build, the
+//! result equals feeding each intermediate batch in turn. The driver syncs
+//! this way once per refresh boundary, so steps between reads cost the
+//! engine nothing — and a boundary whose net batch dirties most rows pays
+//! one wholesale rebuild instead of one per step.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,7 +69,8 @@ use graphrare_graph::{edge_key, traversal, unkey, Graph};
 use crate::relative::{RelativeEntropyConfig, RelativeEntropyTable};
 use crate::sequences::{self, CandidatePool, EntropySequences, SequenceConfig};
 
-/// What one [`IncrementalEntropy::apply_flips`] call did.
+/// What one [`IncrementalEntropy::apply_flips`] or
+/// [`IncrementalEntropy::sync_to`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EntropyRefreshStats {
     /// `H_s` rows (degree profiles) recomputed.
@@ -71,8 +83,8 @@ pub struct EntropyRefreshStats {
 
 /// Incrementally-maintained relative-entropy state: a graph mirror, its
 /// [`RelativeEntropyTable`] and [`EntropySequences`], kept bit-identical
-/// to a from-scratch build across [`apply_flips`](Self::apply_flips)
-/// batches.
+/// to a from-scratch build after every [`apply_flips`](Self::apply_flips)
+/// or [`sync_to`](Self::sync_to) call.
 pub struct IncrementalEntropy {
     graph: Graph,
     table: RelativeEntropyTable,
@@ -115,8 +127,9 @@ impl IncrementalEntropy {
         self.wholesale_threshold = threshold;
     }
 
-    /// The engine's graph mirror (always equal to the sum of applied
-    /// flips over the construction-time graph).
+    /// The engine's graph mirror: the construction-time graph with every
+    /// batch since applied (after [`sync_to`](Self::sync_to), the target's
+    /// edge set).
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
@@ -157,8 +170,48 @@ impl IncrementalEntropy {
     /// bit-identical to from-scratch builds on the flipped graph.
     pub fn apply_flips(&mut self, flips: &[(usize, usize, bool)]) -> EntropyRefreshStats {
         let clock = graphrare_telemetry::Stopwatch::start();
-        let n = self.graph.num_nodes();
         let genuine = normalize_flips(&self.graph, flips);
+        self.apply_genuine(&genuine, clock)
+    }
+
+    /// Brings the engine up to `target`'s edge set in one net batch: the
+    /// flips between the graph mirror and `target`, found by a sorted
+    /// merge of the two edge lists, go through the same dirty-row /
+    /// wholesale path as [`apply_flips`](Self::apply_flips).
+    ///
+    /// Because every batch leaves the engine equal to a from-scratch
+    /// build, syncing once over many rewiring steps gives exactly the
+    /// tables and rankings that feeding each step's flips in turn would.
+    /// Equal edge sets are a no-op: default stats, no span, no event.
+    /// Afterwards [`graph`](Self::graph) has `target`'s edges.
+    ///
+    /// # Panics
+    /// Panics if `target` has a different node count.
+    pub fn sync_to(&mut self, target: &Graph) -> EntropyRefreshStats {
+        let clock = graphrare_telemetry::Stopwatch::start();
+        assert_eq!(
+            target.num_nodes(),
+            self.graph.num_nodes(),
+            "sync_to target must cover the engine's nodes"
+        );
+        let net = edge_set_diff(&self.graph, target);
+        let stats = self.apply_genuine(&net, clock);
+        debug_assert!(
+            self.graph.edges().eq(target.edges()),
+            "graph mirror out of sync after sync_to"
+        );
+        stats
+    }
+
+    /// The refresh proper, on a batch already in
+    /// [`Graph::apply_flips_sorted`]'s form (distinct, ascending by edge
+    /// key, every flip a genuine presence change).
+    fn apply_genuine(
+        &mut self,
+        genuine: &[(usize, usize, bool)],
+        clock: graphrare_telemetry::Stopwatch,
+    ) -> EntropyRefreshStats {
+        let n = self.graph.num_nodes();
         if genuine.is_empty() {
             return EntropyRefreshStats::default();
         }
@@ -182,7 +235,7 @@ impl IncrementalEntropy {
         let old_ball =
             ring_radius.map(|r| traversal::multi_source_ball(&self.graph, &endpoints, r));
 
-        self.graph.apply_flips_sorted(&genuine);
+        self.graph.apply_flips_sorted(genuine);
 
         // Profile-dirty: endpoints and their post-flip neighbours.
         let mut profile_dirty = endpoints.clone();
@@ -297,6 +350,47 @@ impl IncrementalEntropy {
             }
         }
     }
+}
+
+/// The net flip batch taking `from`'s edge set to `to`'s (same node
+/// count), in [`Graph::apply_flips_sorted`]'s form: rows with identical
+/// neighbour slices are skipped, the rest merged over their `u < v`
+/// halves in ascending order, so edges come out ascending by edge key.
+fn edge_set_diff(from: &Graph, to: &Graph) -> Vec<(usize, usize, bool)> {
+    use std::cmp::Ordering;
+    let mut out = Vec::new();
+    for u in 0..from.num_nodes() {
+        let (a, b) = (from.neighbor_slice(u), to.neighbor_slice(u));
+        if a == b {
+            continue;
+        }
+        // Each undirected edge is emitted once, from its smaller endpoint.
+        let a = &a[a.partition_point(|&v| (v as usize) <= u)..];
+        let b = &b[b.partition_point(|&v| (v as usize) <= u)..];
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let ord = match (a.get(i), b.get(j)) {
+                (Some(x), Some(y)) => x.cmp(y),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            match ord {
+                Ordering::Less => {
+                    out.push((u, a[i] as usize, false));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push((u, b[j] as usize, true));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Normalizes a raw flip batch to [`Graph::apply_flips_sorted`]'s

@@ -2,15 +2,18 @@
 //! from-scratch build (`RelativeEntropyTable::new` +
 //! `EntropySequences::build`) over random graphs and random flip traces,
 //! for both candidate pools — the same correctness contract
-//! `rewire_equivalence.rs` enforces for the rewiring engine.
+//! `rewire_equivalence.rs` enforces for the rewiring engine. A second
+//! engine synced to the reference graph only every few batches
+//! (`sync_to`, one net batch) must land on the same bits.
 
 use proptest::prelude::*;
 
 use graphrare_entropy::{
-    CandidatePool, EntropySequences, IncrementalEntropy, RelativeEntropyConfig,
-    RelativeEntropyTable, SequenceConfig,
+    CandidatePool, EntropyRefreshStats, EntropySequences, IncrementalEntropy,
+    RelativeEntropyConfig, RelativeEntropyTable, SequenceConfig,
 };
 use graphrare_graph::{EdgeEdit, Graph};
+use graphrare_telemetry as telemetry;
 use graphrare_tensor::Matrix;
 
 /// Deterministic pseudo-features: enough variation for non-trivial entropy
@@ -56,6 +59,13 @@ fn assert_matches_fresh(
     assert_eq!(engine.sequences(), &fresh, "rankings diverged from fresh build");
 }
 
+fn edits_of(batch: &[(usize, usize, bool)]) -> Vec<(usize, usize, EdgeEdit)> {
+    batch
+        .iter()
+        .map(|&(u, v, add)| (u, v, if add { EdgeEdit::Add } else { EdgeEdit::Remove }))
+        .collect()
+}
+
 /// Replays a trace of raw (possibly degenerate) flip batches through the
 /// engine and, via `apply_edits`, through a reference graph, checking the
 /// contract after every batch.
@@ -72,14 +82,53 @@ fn run_trace(
     let mut engine = IncrementalEntropy::new(&reference, &ecfg, cfg);
     engine.set_wholesale_threshold(threshold);
     for batch in trace {
-        let edits: Vec<(usize, usize, EdgeEdit)> = batch
-            .iter()
-            .map(|&(u, v, add)| (u, v, if add { EdgeEdit::Add } else { EdgeEdit::Remove }))
-            .collect();
-        reference.apply_edits(&edits);
+        reference.apply_edits(&edits_of(batch));
         engine.apply_flips(batch);
         assert_matches_fresh(&engine, &reference, &ecfg);
     }
+}
+
+/// Replays a trace through two engines on the same start graph: one fed
+/// every batch in turn, one synced to the reference graph only after
+/// every `every`-th batch and after the last. At each sync point both
+/// must equal a fresh build, so coalescing batches changes no bit.
+fn run_sync_trace(
+    n: usize,
+    edges: &[(usize, usize)],
+    pool: CandidatePool,
+    trace: &[Vec<(usize, usize, bool)>],
+    every: usize,
+) {
+    let ecfg = RelativeEntropyConfig::default();
+    let cfg = SequenceConfig { pool, max_additions: 8 };
+    let mut reference = graph(n, edges);
+    let mut batched = IncrementalEntropy::new(&reference, &ecfg, cfg);
+    let mut synced = IncrementalEntropy::new(&reference, &ecfg, cfg);
+    for (i, batch) in trace.iter().enumerate() {
+        reference.apply_edits(&edits_of(batch));
+        batched.apply_flips(batch);
+        if (i + 1) % every == 0 || i + 1 == trace.len() {
+            synced.sync_to(&reference);
+            assert_matches_fresh(&synced, &reference, &ecfg);
+            assert_matches_fresh(&batched, &reference, &ecfg);
+        }
+    }
+}
+
+/// Inserts, right after the first batch, a batch that puts every pair the
+/// first batch touched back to its presence in `edges`: pairs that flip
+/// and flip back across batches, which a coalesced sync must see as no
+/// change at all.
+fn with_flip_back(
+    n: usize,
+    edges: &[(usize, usize)],
+    mut trace: Vec<Vec<(usize, usize, bool)>>,
+) -> Vec<Vec<(usize, usize, bool)>> {
+    let start = graph(n, edges);
+    let undo: Vec<(usize, usize, bool)> =
+        trace[0].iter().map(|&(u, v, _)| (u, v, start.has_edge(u, v))).collect();
+    trace.insert(1, undo);
+    trace
 }
 
 /// `(n, edges, pool, trace)` — one random replay instance. Flip batches
@@ -120,6 +169,77 @@ proptest! {
     fn per_row_path_matches_fresh_build((n, edges, pool_idx, trace) in arb_instance()) {
         run_trace(n, &edges, pool_of(pool_idx), &trace, 2.0);
     }
+
+    /// `sync_to` every 1–3 batches (and after the last) matches the
+    /// batch-by-batch engine and a fresh build, including traces whose
+    /// first batch is undone by the second.
+    #[test]
+    fn sync_to_matches_batched_and_fresh_build(
+        (n, edges, pool_idx, trace) in arb_instance(),
+        every in 1usize..4,
+        flip_back in any::<bool>(),
+    ) {
+        let trace = if flip_back { with_flip_back(n, &edges, trace) } else { trace };
+        run_sync_trace(n, &edges, pool_of(pool_idx), &trace, every);
+    }
+}
+
+/// Summed count of spans at paths `root/…/leaf` in `summary`. Telemetry is
+/// process-global and the other tests here run concurrently, so counts
+/// are taken under a root span only this thread opens.
+fn spans_under(summary: &telemetry::Summary, root: &str, leaf: &str) -> u64 {
+    summary
+        .paths
+        .iter()
+        .filter(|p| {
+            p.path.starts_with(&format!("{root}/")) && p.path.ends_with(&format!("/{leaf}"))
+        })
+        .map(|p| p.count)
+        .sum()
+}
+
+/// Syncing to a graph with the engine's own edge set — the same graph, or
+/// one reached by a round trip of edits — does nothing: default stats,
+/// unchanged rankings, and no `entropy.incremental_refresh` span. A real
+/// sync under a second root records exactly one, so the span check is live.
+#[test]
+fn sync_to_identical_graph_is_a_noop() {
+    let n = 12;
+    let edges: Vec<(usize, usize)> =
+        (0..n - 1).map(|i| (i, i + 1)).chain([(0, 6), (3, 9)]).collect();
+    let ecfg = RelativeEntropyConfig::default();
+    telemetry::set_enabled(true);
+    for pool in [
+        CandidatePool::RemoteRing { hops: 3 },
+        CandidatePool::GlobalSample { per_node: 4, seed: 7 },
+    ] {
+        let g = graph(n, &edges);
+        let mut engine =
+            IncrementalEntropy::new(&g, &ecfg, SequenceConfig { pool, max_additions: 8 });
+        let before = engine.sequences().clone();
+        let mut round_trip = g.clone();
+        round_trip.apply_edits(&[(0, 5, EdgeEdit::Add), (1, 2, EdgeEdit::Remove)]);
+        round_trip.apply_edits(&[(0, 5, EdgeEdit::Remove), (1, 2, EdgeEdit::Add)]);
+        {
+            let _root = telemetry::span("test.sync_noop");
+            assert_eq!(engine.sync_to(&g), EntropyRefreshStats::default());
+            assert_eq!(engine.sync_to(&round_trip), EntropyRefreshStats::default());
+        }
+        assert_eq!(engine.sequences(), &before);
+        assert_eq!(engine.graph().edge_vec(), g.edge_vec());
+
+        let mut changed = g.clone();
+        changed.apply_edits(&[(0, 5, EdgeEdit::Add)]);
+        {
+            let _root = telemetry::span("test.sync_control");
+            assert_ne!(engine.sync_to(&changed), EntropyRefreshStats::default());
+        }
+        assert_matches_fresh(&engine, &changed, &ecfg);
+    }
+    let summary = telemetry::snapshot();
+    telemetry::set_enabled(false);
+    assert_eq!(spans_under(&summary, "test.sync_noop", "entropy.incremental_refresh"), 0);
+    assert_eq!(spans_under(&summary, "test.sync_control", "entropy.incremental_refresh"), 2);
 }
 
 /// Deterministic cross-check of the two extreme thresholds: the per-row

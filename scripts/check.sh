@@ -58,6 +58,12 @@ target/release/graphrare \
 target/release/telemetry_lint "$smoke_dir/events_refresh.jsonl"
 grep -q '"event": *"sequence_refresh"' "$smoke_dir/events_refresh.jsonl" ||
     { echo "expected sequence_refresh events in the refresh-enabled smoke" >&2; exit 1; }
+# The engine syncs only when its rankings are read: one entropy_refresh
+# (engine sync) per sequence_refresh (boundary read), none in between.
+n_reads="$(grep -c '"event": *"sequence_refresh"' "$smoke_dir/events_refresh.jsonl")"
+n_syncs="$(grep -c '"event": *"entropy_refresh"' "$smoke_dir/events_refresh.jsonl" || true)"
+[ "$n_syncs" = "$n_reads" ] ||
+    { echo "expected one entropy_refresh per sequence_refresh, got $n_syncs for $n_reads" >&2; exit 1; }
 
 echo "==> output-identity smoke (run outputs must match the committed digests)"
 # Every backbone x rewirer pair on the toy fixture: the sha256 of the
