@@ -9,7 +9,7 @@
 
 use graphrare_datasets::Split;
 use graphrare_entropy::{EntropySequences, IncrementalEntropy, RelativeEntropyTable};
-use graphrare_gnn::metrics::macro_auc;
+use graphrare_gnn::metrics::{accuracy, macro_auc};
 use graphrare_gnn::{build_model, evaluate, Backbone, GnnModel, GraphTensors, Trainer};
 use graphrare_graph::{metrics, Graph};
 use graphrare_rl::{AgentState, PpoStats, RolloutBuffer};
@@ -68,7 +68,8 @@ pub struct RareReport {
 }
 
 /// Training-set performance snapshot (accuracy, loss and — if the reward
-/// needs it — macro AUC).
+/// needs it — macro AUC), with the evaluation-mode logits it was read
+/// from.
 fn perf_snapshot(
     model: &dyn GnnModel,
     gt: &GraphTensors,
@@ -76,10 +77,10 @@ fn perf_snapshot(
     train_mask: &[usize],
     num_classes: usize,
     want_auc: bool,
-) -> PerfSnapshot {
+) -> (PerfSnapshot, Matrix) {
     let eval = evaluate(model, gt, labels, train_mask);
     let auc = if want_auc { macro_auc(&eval.logits, labels, train_mask, num_classes) } else { 0.5 };
-    PerfSnapshot { accuracy: eval.accuracy, loss: eval.loss, auc }
+    (PerfSnapshot { accuracy: eval.accuracy, loss: eval.loss, auc }, eval.logits)
 }
 
 /// Every mutable piece of the Algorithm-1 loop, captured as plain data
@@ -342,10 +343,9 @@ impl RareDriver {
         let (prev, best_val) = if skip_warmup {
             (PerfSnapshot { accuracy: 0.0, loss: 0.0, auc: 0.5 }, 0.0)
         } else {
-            let prev =
+            let (prev, logits) =
                 perf_snapshot(model.as_ref(), gt0, &labels, &split.train, num_classes, want_auc);
-            let val0 = evaluate(model.as_ref(), gt0, &labels, &split.val);
-            (prev, val0.accuracy)
+            (prev, accuracy(&logits, &labels, &split.val))
         };
         let max_acc = prev.accuracy;
         let best_params = trainer.snapshot();
@@ -446,7 +446,7 @@ impl RareDriver {
         let gt = self.rewired.tensors();
 
         // Lines 9–13: evaluate; fine-tune on improvement.
-        let cur = perf_snapshot(
+        let (cur, logits) = perf_snapshot(
             self.model.as_ref(),
             gt,
             &self.labels,
@@ -473,15 +473,21 @@ impl RareDriver {
         self.window_steps += 1;
         let window_end = self.window_steps == self.cfg.update_every;
 
-        // Traces + best-checkpoint tracking.
-        let val_eval = evaluate(self.model.as_ref(), gt, &self.labels, &self.split.val);
+        // Traces + best-checkpoint tracking. Evaluation is deterministic,
+        // so unless a fine-tune moved the model, the logits above are
+        // exactly what a fresh validation forward would produce.
+        let val_acc = if finetuned {
+            evaluate(self.model.as_ref(), gt, &self.labels, &self.split.val).accuracy
+        } else {
+            accuracy(&logits, &self.labels, &self.split.val)
+        };
         let hom = self.rewired.homophily_ratio();
         let g_t_edges = self.rewired.num_edges();
         self.traces.train_acc.push(self.prev.accuracy);
-        self.traces.val_acc.push(val_eval.accuracy);
+        self.traces.val_acc.push(val_acc);
         self.traces.homophily.push(hom);
-        if val_eval.accuracy > self.best_val {
-            self.best_val = val_eval.accuracy;
+        if val_acc > self.best_val {
+            self.best_val = val_acc;
             self.best_params = self.trainer.snapshot();
             self.best_graph = self.rewired.graph().clone();
         }
@@ -503,7 +509,7 @@ impl RareDriver {
                 .u64("step", t as u64)
                 .f64("reward", reward as f64)
                 .f64("train_acc", self.prev.accuracy)
-                .f64("val_acc", val_eval.accuracy)
+                .f64("val_acc", val_acc)
                 .f64("loss", self.prev.loss)
                 .f64("homophily", hom)
                 .u64("edges", g_t_edges as u64)
@@ -539,6 +545,7 @@ impl RareDriver {
                         .f64("policy_loss", stats.policy_loss as f64)
                         .f64("value_loss", stats.value_loss as f64)
                         .f64("entropy", stats.entropy as f64)
+                        .f64("entropy_frac", stats.entropy_frac(2 * self.state.num_nodes()))
                         .f64("approx_kl", stats.approx_kl as f64)
                         .f64("window_reward", window_mean as f64)
                 });

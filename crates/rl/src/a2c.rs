@@ -17,6 +17,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use graphrare_telemetry as telemetry;
 use graphrare_tensor::optim::{Adam, Optimizer};
 use graphrare_tensor::param::{clip_grad_norm, zero_grads, Param};
 use graphrare_tensor::{Matrix, Tape};
@@ -126,16 +127,13 @@ impl<P: Policy> A2cAgent<P> {
         let s = tape.constant(Matrix::row_vector(state));
         let l = self.policy.logits(&mut tape, s);
         let v = self.value.forward(&mut tape, s);
-        let logits = tape.value(l).row(0).to_vec();
         let value = tape.value(v).scalar_value();
 
-        let heads = self.policy.heads();
-        let mut actions = Vec::with_capacity(heads);
+        let mut actions = Vec::with_capacity(self.policy.heads());
         let mut log_prob = 0.0f32;
-        for h in 0..heads {
-            let row = &logits[h * ACTION_ARITY..(h + 1) * ACTION_ARITY];
+        for row in tape.value(l).row(0).chunks_exact(ACTION_ARITY) {
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let exps: Vec<f32> = row.iter().map(|&x| (x - max).exp()).collect();
+            let exps: [f32; ACTION_ARITY] = std::array::from_fn(|a| (row[a] - max).exp());
             let sum: f32 = exps.iter().sum();
             let x: f32 = self.rng.gen();
             let mut acc = 0.0;
@@ -161,9 +159,12 @@ impl<P: Policy> A2cAgent<P> {
         tape.value(v).scalar_value()
     }
 
-    /// One synchronous update over the whole rollout.
+    /// One synchronous update over the whole rollout, in the same
+    /// `rl.update` → `rl.forward`/`rl.backward`/`rl.optim` spans as
+    /// [`PpoAgent::update`](crate::PpoAgent::update).
     pub fn update(&mut self, buffer: &RolloutBuffer, last_value: f32) -> A2cStats {
         assert!(!buffer.is_empty(), "update: empty rollout buffer");
+        let _span = telemetry::span("rl.update");
         let n = buffer.len();
         let (mut advantages, returns) = gae(
             &buffer.rewards,
@@ -188,36 +189,49 @@ impl<P: Policy> A2cAgent<P> {
             neg_ret.set(i, 0, -returns[i]);
         }
 
-        zero_grads(&self.params);
         let mut tape = Tape::new();
-        let s = tape.constant(states);
-        let logits = self.policy.logits(&mut tape, s);
-        let logp = tape.multi_discrete_log_prob(logits, ACTION_ARITY, Rc::new(actions));
-        let weighted = tape.mul_const(logp, Rc::new(adv));
-        let mean_obj = tape.mean_all(weighted);
-        let policy_loss = tape.neg(mean_obj);
+        let (policy_loss, value_loss, mean_entropy, total) = {
+            let _span = telemetry::span("rl.forward");
+            let s = tape.constant(states);
+            let logits = self.policy.logits(&mut tape, s);
+            let logp = tape.multi_discrete_log_prob(logits, ACTION_ARITY, Rc::new(actions));
+            let weighted = tape.mul_const(logp, Rc::new(adv));
+            let mean_obj = tape.mean_all(weighted);
+            let policy_loss = tape.neg(mean_obj);
 
-        let value = self.value.forward(&mut tape, s);
-        let verr = tape.add_const(value, Rc::new(neg_ret));
-        let vsq = tape.square(verr);
-        let value_loss = tape.mean_all(vsq);
+            let value = self.value.forward(&mut tape, s);
+            let verr = tape.add_const(value, Rc::new(neg_ret));
+            let vsq = tape.square(verr);
+            let value_loss = tape.mean_all(vsq);
 
-        let entropy = tape.multi_discrete_entropy(logits, ACTION_ARITY);
-        let mean_entropy = tape.mean_all(entropy);
+            let entropy = tape.multi_discrete_entropy(logits, ACTION_ARITY);
+            let mean_entropy = tape.mean_all(entropy);
 
-        let scaled_v = tape.scale(value_loss, self.cfg.vf_coef);
-        let scaled_e = tape.scale(mean_entropy, -self.cfg.ent_coef);
-        let partial = tape.add(policy_loss, scaled_v);
-        let total = tape.add(partial, scaled_e);
-        tape.backward(total);
-        clip_grad_norm(&self.params, self.cfg.max_grad_norm);
-        self.opt.step(&self.params);
-
-        A2cStats {
+            let scaled_v = tape.scale(value_loss, self.cfg.vf_coef);
+            let scaled_e = tape.scale(mean_entropy, -self.cfg.ent_coef);
+            let partial = tape.add(policy_loss, scaled_v);
+            let total = tape.add(partial, scaled_e);
+            (policy_loss, value_loss, mean_entropy, total)
+        };
+        {
+            let _span = telemetry::span("rl.backward");
+            zero_grads(&self.params);
+            tape.backward(total);
+        }
+        let stats = A2cStats {
             policy_loss: tape.value(policy_loss).scalar_value(),
             value_loss: tape.value(value_loss).scalar_value(),
             entropy: tape.value(mean_entropy).scalar_value(),
+        };
+        // Dropped before the step: the tape shares the parameter values,
+        // so a live tape would make the step copy them.
+        drop(tape);
+        {
+            let _span = telemetry::span("rl.optim");
+            clip_grad_norm(&self.params, self.cfg.max_grad_norm);
+            self.opt.step(&self.params);
         }
+        stats
     }
 }
 

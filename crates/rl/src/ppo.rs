@@ -11,9 +11,10 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use graphrare_telemetry as telemetry;
 use graphrare_tensor::optim::{Adam, Optimizer};
 use graphrare_tensor::param::{clip_grad_norm, zero_grads, Param};
-use graphrare_tensor::{Matrix, Tape};
+use graphrare_tensor::{Matrix, Tape, Var};
 
 use crate::buffer::{gae, normalize, RolloutBuffer};
 use crate::policy::{Policy, ValueNet, ACTION_ARITY};
@@ -72,6 +73,14 @@ pub struct PpoStats {
     pub entropy: f32,
     /// Approximate KL divergence between old and new policy.
     pub approx_kl: f32,
+}
+
+impl PpoStats {
+    /// Mean entropy as a fraction of its maximum, `heads · ln 3` (every
+    /// head uniform): 1.0 means the policy has not moved off uniform.
+    pub fn entropy_frac(&self, heads: usize) -> f64 {
+        self.entropy as f64 / (heads as f64 * (ACTION_ARITY as f64).ln())
+    }
 }
 
 /// A PPO agent: stochastic multi-discrete policy plus critic.
@@ -133,13 +142,12 @@ impl<P: Policy> PpoAgent<P> {
     /// Samples an action for `state`. Returns the per-head action indices,
     /// the joint log-probability and the critic's value estimate.
     pub fn act(&mut self, state: &[f32]) -> (Vec<u8>, f32, f32) {
-        let (logits, value) = self.forward_single(state);
-        let heads = self.policy.heads();
-        let mut actions = Vec::with_capacity(heads);
+        let (tape, logits, value) = self.forward_single(state);
+        let logits = tape.value(logits).row(0);
+        let mut actions = Vec::with_capacity(self.policy.heads());
         let mut log_prob = 0.0f32;
         let mut probs = [0f32; ACTION_ARITY];
-        for h in 0..heads {
-            let row = &logits[h * ACTION_ARITY..(h + 1) * ACTION_ARITY];
+        for row in logits.chunks_exact(ACTION_ARITY) {
             softmax3(row, &mut probs);
             let x: f32 = self.rng.gen();
             let chosen = sample_head(&probs, x);
@@ -151,9 +159,8 @@ impl<P: Policy> PpoAgent<P> {
 
     /// Greedy (argmax per head) action for `state`.
     pub fn act_deterministic(&mut self, state: &[f32]) -> Vec<u8> {
-        let (logits, _) = self.forward_single(state);
-        let heads = self.policy.heads();
-        (0..heads).map(|h| greedy_head(&logits[h * ACTION_ARITY..(h + 1) * ACTION_ARITY])).collect()
+        let (tape, logits, _) = self.forward_single(state);
+        tape.value(logits).row(0).chunks_exact(ACTION_ARITY).map(greedy_head).collect()
     }
 
     /// Critic value of `state`.
@@ -164,19 +171,27 @@ impl<P: Policy> PpoAgent<P> {
         tape.value(v).scalar_value()
     }
 
-    fn forward_single(&self, state: &[f32]) -> (Vec<f32>, f32) {
+    /// One-state forward of policy and critic: the tape holding the
+    /// `1 x (heads · ACTION_ARITY)` logits, their node, and the value.
+    fn forward_single(&self, state: &[f32]) -> (Tape, Var, f32) {
         let mut tape = Tape::new();
         let s = tape.constant(Matrix::row_vector(state));
         let l = self.policy.logits(&mut tape, s);
         let v = self.value.forward(&mut tape, s);
-        (tape.value(l).row(0).to_vec(), tape.value(v).scalar_value())
+        let value = tape.value(v).scalar_value();
+        (tape, l, value)
     }
 
     /// Runs the clipped-surrogate update on a collected rollout.
     ///
     /// `last_value` bootstraps GAE past the final transition.
+    ///
+    /// Each minibatch splits into the spans `rl.forward` (losses on a
+    /// fresh tape), `rl.backward` (gradient reset and reverse pass) and
+    /// `rl.optim` (clipping and the Adam step), under one `rl.update`.
     pub fn update(&mut self, buffer: &RolloutBuffer, last_value: f32) -> PpoStats {
         assert!(!buffer.is_empty(), "update: empty rollout buffer");
+        let _span = telemetry::span("rl.update");
         let n = buffer.len();
         let (mut advantages, returns) = gae(
             &buffer.rewards,
@@ -219,41 +234,53 @@ impl<P: Policy> PpoAgent<P> {
                 let adv = Rc::new(adv);
                 let neg_ret = Rc::new(ret.map(|v| -v));
 
-                zero_grads(&self.params);
                 let mut tape = Tape::new();
-                let s = tape.constant(states);
-                let logits = self.policy.logits(&mut tape, s);
-                let logp = tape.multi_discrete_log_prob(logits, ACTION_ARITY, actions);
-                let diff = tape.add_const(logp, neg_old);
-                let ratio = tape.exp(diff);
-                let surr1 = tape.mul_const(ratio, adv.clone());
-                let clipped = tape.clamp(ratio, 1.0 - self.cfg.clip, 1.0 + self.cfg.clip);
-                let surr2 = tape.mul_const(clipped, adv);
-                let surr = tape.min_elem(surr1, surr2);
-                let mean_surr = tape.mean_all(surr);
-                let policy_loss = tape.neg(mean_surr);
+                let (policy_loss, value_loss, mean_entropy, diff, total) = {
+                    let _span = telemetry::span("rl.forward");
+                    let s = tape.constant(states);
+                    let logits = self.policy.logits(&mut tape, s);
+                    let logp = tape.multi_discrete_log_prob(logits, ACTION_ARITY, actions);
+                    let diff = tape.add_const(logp, neg_old);
+                    let ratio = tape.exp(diff);
+                    let surr1 = tape.mul_const(ratio, adv.clone());
+                    let clipped = tape.clamp(ratio, 1.0 - self.cfg.clip, 1.0 + self.cfg.clip);
+                    let surr2 = tape.mul_const(clipped, adv);
+                    let surr = tape.min_elem(surr1, surr2);
+                    let mean_surr = tape.mean_all(surr);
+                    let policy_loss = tape.neg(mean_surr);
 
-                let value = self.value.forward(&mut tape, s);
-                let verr = tape.add_const(value, neg_ret);
-                let vsq = tape.square(verr);
-                let value_loss = tape.mean_all(vsq);
+                    let value = self.value.forward(&mut tape, s);
+                    let verr = tape.add_const(value, neg_ret);
+                    let vsq = tape.square(verr);
+                    let value_loss = tape.mean_all(vsq);
 
-                let entropy = tape.multi_discrete_entropy(logits, ACTION_ARITY);
-                let mean_entropy = tape.mean_all(entropy);
+                    let entropy = tape.multi_discrete_entropy(logits, ACTION_ARITY);
+                    let mean_entropy = tape.mean_all(entropy);
 
-                let scaled_v = tape.scale(value_loss, self.cfg.vf_coef);
-                let scaled_e = tape.scale(mean_entropy, -self.cfg.ent_coef);
-                let partial = tape.add(policy_loss, scaled_v);
-                let total = tape.add(partial, scaled_e);
-                tape.backward(total);
-                clip_grad_norm(&self.params, self.cfg.max_grad_norm);
-                self.opt.step(&self.params);
-
+                    let scaled_v = tape.scale(value_loss, self.cfg.vf_coef);
+                    let scaled_e = tape.scale(mean_entropy, -self.cfg.ent_coef);
+                    let partial = tape.add(policy_loss, scaled_v);
+                    let total = tape.add(partial, scaled_e);
+                    (policy_loss, value_loss, mean_entropy, diff, total)
+                };
+                {
+                    let _span = telemetry::span("rl.backward");
+                    zero_grads(&self.params);
+                    tape.backward(total);
+                }
                 stats.policy_loss += tape.value(policy_loss).scalar_value();
                 stats.value_loss += tape.value(value_loss).scalar_value();
                 stats.entropy += tape.value(mean_entropy).scalar_value();
                 // approx KL = mean(old_logp - new_logp).
                 stats.approx_kl += -tape.value(diff).mean();
+                // Dropped before the step: the tape shares the parameter
+                // values, so a live tape would make the step copy them.
+                drop(tape);
+                {
+                    let _span = telemetry::span("rl.optim");
+                    clip_grad_norm(&self.params, self.cfg.max_grad_norm);
+                    self.opt.step(&self.params);
+                }
                 updates += 1;
             }
         }

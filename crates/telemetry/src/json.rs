@@ -263,12 +263,19 @@ fn get_u64(value: &Json, key: &str) -> Option<u64> {
     (x.is_finite() && x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
 }
 
+/// How far above 1 a `ppo_update` event's `entropy_frac` may read. The
+/// mean entropy is an `f32` sum over every action head, so a policy that
+/// is still exactly uniform can round a few ULPs past its maximum.
+const ENTROPY_FRAC_SLACK: f64 = 1e-4;
+
 /// Validates one JSONL event line: parses it, checks it is an object
 /// carrying an accepted `"v"` schema version and an `"event"` string,
 /// checks the optional v3 `run_id` tag (when present it must be a
 /// positive integer on any event kind), and — for `span` events —
 /// checks the required span fields (`name`, `span_id`, `path`, `ns`;
-/// `parent_id` when present must be a positive integer).
+/// `parent_id` when present must be a positive integer). A `ppo_update`
+/// event must carry an `entropy_frac` in `(0, 1]`, with a little slack
+/// above 1 for `f32` rounding.
 pub fn validate_event_line(line: &str) -> Result<Json, String> {
     let value = parse(line)?;
     match value.get("v").and_then(Json::as_f64) {
@@ -282,6 +289,13 @@ pub fn validate_event_line(line: &str) -> Result<Json, String> {
     };
     if value.get("run_id").is_some() && get_u64(&value, "run_id").is_none_or(|r| r == 0) {
         return Err("\"run_id\" must be a positive integer".into());
+    }
+    if kind == "ppo_update" {
+        match value.get("entropy_frac").and_then(Json::as_f64) {
+            Some(f) if f > 0.0 && f <= 1.0 + ENTROPY_FRAC_SLACK => {}
+            Some(f) => return Err(format!("ppo_update event: entropy_frac {f} not in (0, 1]")),
+            None => return Err("ppo_update event: missing numeric \"entropy_frac\"".into()),
+        }
     }
     if kind == "span" {
         if value.get("name").and_then(Json::as_str).is_none() {
@@ -458,6 +472,26 @@ mod tests {
             ),
         ] {
             assert!(validate_event_line(bad).is_err(), "accepted span with {why}");
+        }
+    }
+
+    #[test]
+    fn validate_checks_ppo_update_entropy_frac() {
+        let event = |frac: &str| format!("{{\"v\":3,\"event\":\"ppo_update\"{frac}}}");
+        assert!(validate_event_line(&event(",\"entropy_frac\":0.5")).is_ok());
+        assert!(validate_event_line(&event(",\"entropy_frac\":1")).is_ok());
+        assert!(
+            validate_event_line(&event(",\"entropy_frac\":1.00001")).is_ok(),
+            "f32 rounding past a uniform policy's maximum is tolerated"
+        );
+        for (bad, why) in [
+            ("", "no entropy_frac"),
+            (",\"entropy_frac\":0", "zero"),
+            (",\"entropy_frac\":-0.2", "negative"),
+            (",\"entropy_frac\":1.5", "above 1"),
+            (",\"entropy_frac\":\"high\"", "non-numeric"),
+        ] {
+            assert!(validate_event_line(&event(bad)).is_err(), "accepted ppo_update with {why}");
         }
     }
 

@@ -279,8 +279,15 @@ impl Matrix {
 
     /// `self * rhs^T` without materialising the transpose.
     ///
-    /// Parallelised over output rows; each dot product is computed whole on
-    /// one thread, so the result is bit-identical to serial execution.
+    /// Every output is the dot product of a row of `self` with a row of
+    /// `rhs`, summed from `+0.0` in ascending `k`. The kernel packs
+    /// [`NT_PANEL`] rows of `rhs` at a time into a `k`-major panel and
+    /// keeps one accumulator per panel row, so the inner loop is an axpy
+    /// across `NT_PANEL` independent outputs — it vectorises, while each
+    /// output still sees exactly the scalar dot product's additions, in
+    /// the same order. Parallelised over chunks of output rows (each chunk
+    /// packs its own panels), so the result is bit-identical to serial
+    /// execution.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
@@ -288,16 +295,29 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let _kernel = kernel_telemetry!("matmul_nt", self.rows);
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        parallel::par_for_each_row(&mut out.data, rhs.rows, |i, out_row| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
+        let (n, k) = (rhs.rows, self.cols);
+        let mut out = Matrix::zeros(self.rows, n);
+        if n == 0 || k == 0 {
+            return out;
+        }
+        parallel::par_for_each_chunk(&mut out.data, n, |range, chunk| {
+            let mut panel = vec![0f32; k * NT_PANEL];
+            for j0 in (0..n).step_by(NT_PANEL) {
+                let width = NT_PANEL.min(n - j0);
+                for (jj, b_row) in (j0..j0 + width).map(|j| rhs.row(j)).enumerate() {
+                    for (slot, &b) in panel.chunks_exact_mut(NT_PANEL).zip(b_row) {
+                        slot[jj] = b;
+                    }
                 }
-                *o = acc;
+                for (i, out_row) in range.clone().zip(chunk.chunks_exact_mut(n)) {
+                    let mut acc = [0f32; NT_PANEL];
+                    for (&a, b) in self.row(i).iter().zip(panel.chunks_exact(NT_PANEL)) {
+                        for (o, &bv) in acc.iter_mut().zip(b) {
+                            *o += a * bv;
+                        }
+                    }
+                    out_row[j0..j0 + width].copy_from_slice(&acc[..width]);
+                }
             }
         });
         out
@@ -498,9 +518,15 @@ impl Matrix {
 
 /// Numerically-stable in-place softmax of one slice.
 pub fn softmax_slice(row: &mut [f32]) {
-    if row.is_empty() {
-        return;
+    if !row.is_empty() {
+        softmax_slice_terms(row);
     }
+}
+
+/// [`softmax_slice`] of a non-empty slice, returning the slice's max and
+/// the sum of `exp(x − max)` it normalised by. Its log-softmax is then
+/// `x − max − sum.ln()`, bit-identical to [`log_softmax_slice`].
+pub fn softmax_slice_terms(row: &mut [f32]) -> (f32, f32) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0;
     for v in row.iter_mut() {
@@ -512,6 +538,7 @@ pub fn softmax_slice(row: &mut [f32]) {
             *v /= sum;
         }
     }
+    (max, sum)
 }
 
 /// Numerically-stable in-place log-softmax of one slice.
@@ -525,6 +552,10 @@ pub fn log_softmax_slice(row: &mut [f32]) {
         *v = *v - max - log_sum;
     }
 }
+
+/// Rows of `rhs` that [`Matrix::matmul_nt`] packs into one panel: the
+/// number of outputs its inner loop accumulates side by side.
+pub const NT_PANEL: usize = 16;
 
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

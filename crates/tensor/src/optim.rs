@@ -103,10 +103,8 @@ impl Optimizer for Sgd {
     fn step(&mut self, params: &[Param]) {
         let (lr, momentum, weight_decay) = (self.lr, self.momentum, self.weight_decay);
         for p in params {
-            let k = key(p);
-            let grad = p.grad();
-            let entry =
-                self.velocity.entry(k).or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
+            let (rows, cols) = p.shape();
+            let entry = self.velocity.entry(key(p)).or_insert_with(|| Matrix::zeros(rows, cols));
             p.update(|value, g| {
                 for ((v, vel), &gr) in
                     value.as_mut_slice().iter_mut().zip(entry.as_mut_slice()).zip(g.as_slice())
@@ -202,11 +200,10 @@ impl Optimizer for Adam {
         let (lr, beta1, beta2, eps, weight_decay) =
             (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
         for p in params {
-            let k = key(p);
-            let grad = p.grad();
-            let entry = self.state.entry(k).or_insert_with(|| AdamState {
-                m: Matrix::zeros(grad.rows(), grad.cols()),
-                v: Matrix::zeros(grad.rows(), grad.cols()),
+            let (rows, cols) = p.shape();
+            let entry = self.state.entry(key(p)).or_insert_with(|| AdamState {
+                m: Matrix::zeros(rows, cols),
+                v: Matrix::zeros(rows, cols),
             });
             p.update(|value, g| {
                 for (((w, m), v), &gr) in value

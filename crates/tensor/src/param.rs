@@ -1,6 +1,6 @@
 //! Trainable parameters shared between tapes and optimisers.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -8,7 +8,10 @@ use crate::matrix::Matrix;
 
 struct ParamInner {
     name: String,
-    value: Matrix,
+    /// Shared copy-on-write with the tapes that bound it: binding is a
+    /// reference-count bump, and an update copies only while a tape still
+    /// holds the old value.
+    value: Rc<Matrix>,
     grad: Matrix,
 }
 
@@ -16,7 +19,8 @@ struct ParamInner {
 ///
 /// `Param` is a cheap `Rc` handle: cloning it shares storage. A forward pass
 /// binds the parameter onto a [`Tape`](crate::tape::Tape) with
-/// [`Tape::param`](crate::tape::Tape::param); `Tape::backward` then
+/// [`Tape::param`](crate::tape::Tape::param) without copying its value (the
+/// tape keeps the value it was bound with); `Tape::backward` then
 /// accumulates the parameter's gradient here, where an
 /// [`Optimizer`](crate::optim::Optimizer) consumes it.
 #[derive(Clone)]
@@ -28,6 +32,7 @@ impl Param {
     /// Creates a parameter from an initial value.
     pub fn new(name: impl Into<String>, value: Matrix) -> Self {
         let grad = Matrix::zeros(value.rows(), value.cols());
+        let value = Rc::new(value);
         Self { inner: Rc::new(RefCell::new(ParamInner { name: name.into(), value, grad })) }
     }
 
@@ -38,7 +43,12 @@ impl Param {
 
     /// Current value (cloned out of the shared cell).
     pub fn value(&self) -> Matrix {
-        self.inner.borrow().value.clone()
+        Matrix::clone(&self.inner.borrow().value)
+    }
+
+    /// Current value as a shared handle, without copying it.
+    pub(crate) fn shared_value(&self) -> Rc<Matrix> {
+        Rc::clone(&self.inner.borrow().value)
     }
 
     /// Shape of the parameter.
@@ -61,11 +71,16 @@ impl Param {
         self.inner.borrow().grad.clone()
     }
 
+    /// Borrow of the accumulated gradient, without copying it.
+    pub(crate) fn grad_ref(&self) -> Ref<'_, Matrix> {
+        Ref::map(self.inner.borrow(), |inner| &inner.grad)
+    }
+
     /// Overwrites the value.
     pub fn set_value(&self, value: Matrix) {
         let mut inner = self.inner.borrow_mut();
         assert_eq!(inner.value.shape(), value.shape(), "set_value: shape mismatch");
-        inner.value = value;
+        inner.value = Rc::new(value);
     }
 
     /// Adds `g` into the accumulated gradient.
@@ -78,11 +93,12 @@ impl Param {
         self.inner.borrow_mut().grad.fill_zero();
     }
 
-    /// Applies `f(value, grad)` to update the value in place.
+    /// Applies `f(value, grad)` to update the value in place (after a
+    /// copy if a live tape still shares the current value).
     pub fn update(&self, f: impl FnOnce(&mut Matrix, &Matrix)) {
         let mut inner = self.inner.borrow_mut();
         let ParamInner { value, grad, .. } = &mut *inner;
-        f(value, grad);
+        f(Rc::make_mut(value), grad);
     }
 
     /// Whether two handles share the same storage.
@@ -117,7 +133,7 @@ pub fn zero_grads(params: &[Param]) {
 pub fn clip_grad_norm(params: &[Param], max_norm: f32) -> f32 {
     let mut total = 0.0f32;
     for p in params {
-        total += p.grad().as_slice().iter().map(|v| v * v).sum::<f32>();
+        total += p.grad_ref().as_slice().iter().map(|v| v * v).sum::<f32>();
     }
     let norm = total.sqrt();
     if norm > max_norm && norm > 0.0 {
@@ -132,6 +148,7 @@ pub fn clip_grad_norm(params: &[Param], max_norm: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tape::Tape;
 
     #[test]
     fn grads_accumulate_and_zero() {
@@ -150,6 +167,25 @@ mod tests {
         q.accumulate_grad(&Matrix::scalar(5.0));
         assert_eq!(p.grad().scalar_value(), 5.0);
         assert!(p.same_storage(&q));
+    }
+
+    #[test]
+    fn tapes_share_the_value_and_updates_copy_on_write() {
+        let p = Param::new("w", Matrix::ones(2, 2));
+        let storage = Rc::as_ptr(&p.shared_value());
+        let mut t = Tape::new();
+        let v = t.param(&p);
+        assert!(std::ptr::eq(t.value(v), storage), "binding must not copy the value");
+        p.update(|w, _| w.fill_zero());
+        // The live tape keeps the value it was bound with.
+        assert_eq!(t.value(v).as_slice(), &[1.0; 4]);
+        assert_eq!(p.value().as_slice(), &[0.0; 4]);
+        drop(t);
+        // With no tape holding it, an update writes in place.
+        let storage = Rc::as_ptr(&p.shared_value());
+        p.update(|w, _| w.map_inplace(|x| x + 2.0));
+        assert_eq!(Rc::as_ptr(&p.shared_value()), storage);
+        assert_eq!(p.value().as_slice(), &[2.0; 4]);
     }
 
     #[test]

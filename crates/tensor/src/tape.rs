@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use crate::matrix::{log_softmax_slice, softmax_slice, Matrix};
+use crate::matrix::{softmax_slice, softmax_slice_terms, Matrix};
 use crate::param::Param;
 use crate::sparse::CsrMatrix;
 
@@ -220,13 +220,57 @@ enum Op {
     AddConst { x: usize },
     NllMasked { logp: usize, targets: Rc<Vec<usize>>, mask: Rc<Vec<usize>> },
     EdgeAttention { wh: usize, sl: usize, sr: usize, nbrs: Rc<AdjList>, slope: f32 },
-    MultiDiscreteLogProb { logits: usize, arity: usize, actions: Rc<Vec<u8>> },
-    MultiDiscreteEntropy { logits: usize, arity: usize },
+    MultiDiscreteLogProb { logits: usize, soft: Rc<HeadSoftmax>, actions: Rc<Vec<u8>> },
+    MultiDiscreteEntropy { logits: usize, soft: Rc<HeadSoftmax>, terms: Rc<EntropyTerms> },
     Reshape { x: usize },
 }
 
+/// Per-head softmax of one logits node. The first fused multi-discrete op
+/// recorded on the node computes it; every such op on the same node shares
+/// it, in its forward and in its backward.
+struct HeadSoftmax {
+    arity: usize,
+    /// Every head's softmax, in the logits' layout.
+    probs: Matrix,
+    /// Per `(row, head)`, row-major: the max logit and `ln Σ exp(x − max)`,
+    /// so the head's log-softmax is `x − max − ln_sum`.
+    max: Vec<f32>,
+    ln_sum: Vec<f32>,
+}
+
+impl HeadSoftmax {
+    fn new(logits: &Matrix, arity: usize) -> Self {
+        assert!(
+            arity > 0 && logits.cols().is_multiple_of(arity),
+            "logit width must be a multiple of arity"
+        );
+        let heads = logits.rows() * (logits.cols() / arity);
+        let mut probs = logits.clone();
+        let mut max = Vec::with_capacity(heads);
+        let mut ln_sum = Vec::with_capacity(heads);
+        for head in probs.as_mut_slice().chunks_exact_mut(arity) {
+            let (m, sum) = softmax_slice_terms(head);
+            max.push(m);
+            ln_sum.push(sum.ln());
+        }
+        Self { arity, probs, max, ln_sum }
+    }
+
+    fn heads(&self) -> usize {
+        self.probs.cols() / self.arity
+    }
+}
+
+/// What the entropy backward reuses from its forward: `ln p` of every
+/// positive probability (0 elsewhere) and each head's `Σ p ln p`.
+struct EntropyTerms {
+    ln_probs: Matrix,
+    head_sums: Vec<f32>,
+}
+
 struct Node {
-    value: Matrix,
+    /// Shared so a bound [`Param`] lends its value instead of copying it.
+    value: Rc<Matrix>,
     grad: Option<Matrix>,
     op: Op,
     needs_grad: bool,
@@ -239,6 +283,8 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     bindings: Vec<(usize, Param)>,
+    /// The most recent per-head softmax and the logits node it belongs to.
+    head_softmax: Option<(usize, Rc<HeadSoftmax>)>,
 }
 
 impl Tape {
@@ -269,8 +315,12 @@ impl Tape {
 
     /// Records a leaf bound to a shared [`Param`]; after [`Tape::backward`]
     /// the computed gradient is accumulated into the parameter's `grad`.
+    ///
+    /// The leaf shares the parameter's current value rather than copying
+    /// it; an optimiser step while this tape is alive copies the value
+    /// first, so the tape keeps seeing the value it was bound with.
     pub fn param(&mut self, p: &Param) -> Var {
-        let v = self.push(p.value().clone(), Op::Leaf, true);
+        let v = self.push_shared(p.shared_value(), Op::Leaf, true);
         self.bindings.push((v.idx, p.clone()));
         v
     }
@@ -289,6 +339,10 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op, needs_grad: bool) -> Var {
+        self.push_shared(Rc::new(value), op, needs_grad)
+    }
+
+    fn push_shared(&mut self, value: Rc<Matrix>, op: Op, needs_grad: bool) -> Var {
         debug_assert!(value.all_finite(), "non-finite value entering tape");
         self.nodes.push(Node { value, grad: None, op, needs_grad });
         Var { idx: self.nodes.len() - 1 }
@@ -633,6 +687,19 @@ impl Tape {
         self.push(out, Op::EdgeAttention { wh: wh.idx, sl: sl.idx, sr: sr.idx, nbrs, slope }, ng)
     }
 
+    /// The per-head softmax of `logits`, computed on first use and then
+    /// shared by every fused multi-discrete op recorded on that node.
+    fn head_softmax(&mut self, logits: Var, arity: usize) -> Rc<HeadSoftmax> {
+        if let Some((idx, soft)) = &self.head_softmax {
+            if *idx == logits.idx && soft.arity == arity {
+                return Rc::clone(soft);
+            }
+        }
+        let soft = Rc::new(HeadSoftmax::new(self.val(logits.idx), arity));
+        self.head_softmax = Some((logits.idx, Rc::clone(&soft)));
+        soft
+    }
+
     /// Fused multi-discrete log-probability.
     ///
     /// `logits` is `B x (H * arity)`: `H` independent categorical heads of
@@ -645,52 +712,51 @@ impl Tape {
         arity: usize,
         actions: Rc<Vec<u8>>,
     ) -> Var {
+        let soft = self.head_softmax(logits, arity);
         let lg = self.val(logits.idx);
-        assert!(
-            arity > 0 && lg.cols().is_multiple_of(arity),
-            "logit width must be a multiple of arity"
-        );
-        let heads = lg.cols() / arity;
+        let heads = soft.heads();
         assert_eq!(actions.len(), lg.rows() * heads, "action table size mismatch");
         let mut out = Matrix::zeros(lg.rows(), 1);
-        let mut scratch = vec![0f32; arity];
         for r in 0..lg.rows() {
             let row = lg.row(r);
             let mut total = 0.0;
             for h in 0..heads {
-                scratch.copy_from_slice(&row[h * arity..(h + 1) * arity]);
-                log_softmax_slice(&mut scratch);
-                total += scratch[actions[r * heads + h] as usize];
+                let at = r * heads + h;
+                total += row[h * arity + actions[at] as usize] - soft.max[at] - soft.ln_sum[at];
             }
             out.set(r, 0, total);
         }
         let ng = self.ng(logits);
-        self.push(out, Op::MultiDiscreteLogProb { logits: logits.idx, arity, actions }, ng)
+        self.push(out, Op::MultiDiscreteLogProb { logits: logits.idx, soft, actions }, ng)
     }
 
     /// Fused multi-discrete entropy: `B x 1` with
     /// `Σ_h H(softmax(logits[r, h·arity ..]))`.
     pub fn multi_discrete_entropy(&mut self, logits: Var, arity: usize) -> Var {
-        let lg = self.val(logits.idx);
-        assert!(
-            arity > 0 && lg.cols().is_multiple_of(arity),
-            "logit width must be a multiple of arity"
-        );
-        let heads = lg.cols() / arity;
-        let mut out = Matrix::zeros(lg.rows(), 1);
-        let mut p = vec![0f32; arity];
-        for r in 0..lg.rows() {
-            let row = lg.row(r);
+        let soft = self.head_softmax(logits, arity);
+        let probs = &soft.probs;
+        let heads = soft.heads();
+        let mut ln_probs = Matrix::zeros(probs.rows(), probs.cols());
+        for (l, &q) in ln_probs.as_mut_slice().iter_mut().zip(probs.as_slice()) {
+            if q > 0.0 {
+                *l = q.ln();
+            }
+        }
+        let mut head_sums = Vec::with_capacity(probs.rows() * heads);
+        let mut out = Matrix::zeros(probs.rows(), 1);
+        for r in 0..probs.rows() {
             let mut total = 0.0;
-            for h in 0..heads {
-                p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
-                softmax_slice(&mut p);
-                total -= p.iter().filter(|&&q| q > 0.0).map(|&q| q * q.ln()).sum::<f32>();
+            for (p, l) in probs.row(r).chunks_exact(arity).zip(ln_probs.row(r).chunks_exact(arity))
+            {
+                let sum = p.iter().zip(l).filter(|(&q, _)| q > 0.0).map(|(&q, &l)| q * l).sum();
+                head_sums.push(sum);
+                total -= sum;
             }
             out.set(r, 0, total);
         }
+        let terms = Rc::new(EntropyTerms { ln_probs, head_sums });
         let ng = self.ng(logits);
-        self.push(out, Op::MultiDiscreteEntropy { logits: logits.idx, arity }, ng)
+        self.push(out, Op::MultiDiscreteEntropy { logits: logits.idx, soft, terms }, ng)
     }
 
     // ---------------------------------------------------------------
@@ -956,25 +1022,22 @@ impl Tape {
                 self.push_grad(&mut out, *sr, || dsr);
                 out
             }
-            Op::MultiDiscreteLogProb { logits, arity, actions } => {
-                let lg = self.val(*logits);
-                let heads = lg.cols() / arity;
-                let mut dl = Matrix::zeros(lg.rows(), lg.cols());
-                let mut p = vec![0f32; *arity];
-                for r in 0..lg.rows() {
+            Op::MultiDiscreteLogProb { logits, soft, actions } => {
+                let (probs, arity, heads) = (&soft.probs, soft.arity, soft.heads());
+                let mut dl = Matrix::zeros(probs.rows(), probs.cols());
+                for r in 0..probs.rows() {
                     let gr = g.get(r, 0);
                     if gr == 0.0 {
                         continue;
                     }
-                    let row = lg.row(r);
-                    for h in 0..heads {
-                        p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
-                        softmax_slice(&mut p);
+                    let heads_p = probs.row(r).chunks_exact(arity);
+                    for (h, (drow, p)) in
+                        dl.row_mut(r).chunks_exact_mut(arity).zip(heads_p).enumerate()
+                    {
                         let chosen = actions[r * heads + h] as usize;
-                        let drow = dl.row_mut(r);
-                        for (k, &pk) in p.iter().enumerate() {
+                        for (k, (d, &pk)) in drow.iter_mut().zip(p).enumerate() {
                             let ind = if k == chosen { 1.0 } else { 0.0 };
-                            drow[h * arity + k] += gr * (ind - pk);
+                            *d += gr * (ind - pk);
                         }
                     }
                 }
@@ -984,27 +1047,23 @@ impl Tape {
                 let src = self.val(*x);
                 vec![(*x, Matrix::from_vec(src.rows(), src.cols(), g.as_slice().to_vec()))]
             }
-            Op::MultiDiscreteEntropy { logits, arity } => {
+            Op::MultiDiscreteEntropy { logits, soft, terms } => {
                 // dH/dz_k = -p_k (log p_k + H) for each head.
-                let lg = self.val(*logits);
-                let heads = lg.cols() / arity;
-                let mut dl = Matrix::zeros(lg.rows(), lg.cols());
-                let mut p = vec![0f32; *arity];
-                for r in 0..lg.rows() {
+                let (probs, arity, heads) = (&soft.probs, soft.arity, soft.heads());
+                let mut dl = Matrix::zeros(probs.rows(), probs.cols());
+                for r in 0..probs.rows() {
                     let gr = g.get(r, 0);
                     if gr == 0.0 {
                         continue;
                     }
-                    let row = lg.row(r);
-                    for h in 0..heads {
-                        p.copy_from_slice(&row[h * arity..(h + 1) * arity]);
-                        softmax_slice(&mut p);
-                        let ent: f32 =
-                            -p.iter().filter(|&&q| q > 0.0).map(|&q| q * q.ln()).sum::<f32>();
-                        let drow = dl.row_mut(r);
-                        for (k, &pk) in p.iter().enumerate() {
+                    let heads_p = probs.row(r).chunks_exact(arity);
+                    let heads_l = terms.ln_probs.row(r).chunks_exact(arity);
+                    let drows = dl.row_mut(r).chunks_exact_mut(arity);
+                    for (h, ((drow, p), l)) in drows.zip(heads_p).zip(heads_l).enumerate() {
+                        let ent = -terms.head_sums[r * heads + h];
+                        for ((d, &pk), &lk) in drow.iter_mut().zip(p).zip(l) {
                             if pk > 0.0 {
-                                drow[h * arity + k] += gr * (-pk * (pk.ln() + ent));
+                                *d += gr * (-pk * (lk + ent));
                             }
                         }
                     }
@@ -1112,6 +1171,7 @@ fn edge_attention_backward(
 mod tests {
     use super::*;
     use crate::gradcheck::check_grad;
+    use crate::matrix::log_softmax_slice;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,8 +1,11 @@
 //! Property-based tests of the tensor substrate: algebraic identities
 //! that must hold for arbitrary inputs.
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
+use graphrare_tensor::matrix::{log_softmax_slice, softmax_slice, NT_PANEL};
 use graphrare_tensor::{CsrMatrix, Matrix, Tape};
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -187,5 +190,150 @@ proptest! {
             prop_assert!((sum - 1.0).abs() < 1e-4, "row {r}: {sum}");
             prop_assert!(ls.row(r).iter().all(|&v| v <= 1e-6));
         }
+    }
+}
+
+/// An `r x c` matrix in which about a quarter of the entries are `+0.0`
+/// and another quarter `-0.0`.
+fn arb_signed_zeros(r: usize, c: usize) -> impl Strategy<Value = Matrix> {
+    proptest::collection::vec((0u32..4, -4.0f32..4.0), r * c).prop_map(move |cells| {
+        let data = cells
+            .into_iter()
+            .map(|(kind, v)| match kind {
+                0 => 0.0,
+                1 => -0.0,
+                _ => v,
+            })
+            .collect();
+        Matrix::from_vec(r, c, data)
+    })
+}
+
+/// `a * b^T` as the scalar dot-product loop `matmul_nt` ran before it was
+/// blocked: every output summed from `+0.0` in ascending `k`.
+fn matmul_nt_dot_loop(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+        let mut acc = 0.0;
+        for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+            acc += x * y;
+        }
+        acc
+    })
+}
+
+/// Forward values and logit gradients of the fused multi-discrete ops as
+/// they were computed before the per-head softmax was shared: each
+/// forward and each backward recomputes every head's softmax. `w_lp` and
+/// `w_ent` are the upstream gradients of the log-prob and entropy
+/// outputs; the returned gradient is the sum of both ops' contributions.
+fn multi_discrete_recompute(
+    logits: &Matrix,
+    arity: usize,
+    actions: &[u8],
+    w_lp: &[f32],
+    w_ent: &[f32],
+) -> (Vec<f32>, Vec<f32>, Matrix) {
+    let heads = logits.cols() / arity;
+    let (mut lp, mut ent) = (Vec::new(), Vec::new());
+    for r in 0..logits.rows() {
+        let row = logits.row(r);
+        let (mut total_lp, mut total_ent) = (0.0f32, 0.0f32);
+        for h in 0..heads {
+            let mut scratch = row[h * arity..(h + 1) * arity].to_vec();
+            log_softmax_slice(&mut scratch);
+            total_lp += scratch[actions[r * heads + h] as usize];
+            let mut p = row[h * arity..(h + 1) * arity].to_vec();
+            softmax_slice(&mut p);
+            total_ent -= p.iter().filter(|&&q| q > 0.0).map(|&q| q * q.ln()).sum::<f32>();
+        }
+        lp.push(total_lp);
+        ent.push(total_ent);
+    }
+    let mut d_lp = Matrix::zeros(logits.rows(), logits.cols());
+    let mut d_ent = Matrix::zeros(logits.rows(), logits.cols());
+    for r in 0..logits.rows() {
+        let row = logits.row(r);
+        for h in 0..heads {
+            let mut p = row[h * arity..(h + 1) * arity].to_vec();
+            softmax_slice(&mut p);
+            if w_lp[r] != 0.0 {
+                let chosen = actions[r * heads + h] as usize;
+                for (k, &pk) in p.iter().enumerate() {
+                    let ind = if k == chosen { 1.0 } else { 0.0 };
+                    d_lp.add_at(r, h * arity + k, w_lp[r] * (ind - pk));
+                }
+            }
+            if w_ent[r] != 0.0 {
+                let h_ent: f32 = -p.iter().filter(|&&q| q > 0.0).map(|&q| q * q.ln()).sum::<f32>();
+                for (k, &pk) in p.iter().enumerate() {
+                    if pk > 0.0 {
+                        d_ent.add_at(r, h * arity + k, w_ent[r] * (-pk * (pk.ln() + h_ent)));
+                    }
+                }
+            }
+        }
+    }
+    d_ent.add_assign(&d_lp);
+    (lp, ent, d_ent)
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn matmul_nt_is_bit_identical_to_the_dot_product_loop(
+        (a, b) in (1usize..=4, 0usize..=9, 1usize..=2 * NT_PANEL + 3)
+            .prop_flat_map(|(m, k, n)| (arb_signed_zeros(m, k), arb_signed_zeros(n, k)))
+    ) {
+        // n ranges over full panels, partial panels and a single row;
+        // k = 0 leaves every output at +0.0.
+        prop_assert_eq!(bits(&a.matmul_nt(&b)), bits(&matmul_nt_dot_loop(&a, &b)));
+    }
+
+    #[test]
+    fn shared_head_softmax_matches_recompute_in_backward(
+        (logits, actions, w_lp, w_ent) in (1usize..=3, 1usize..=5).prop_flat_map(|(b, heads)| (
+            proptest::collection::vec(-6.0f32..6.0, b * heads * 3)
+                .prop_map(move |v| Matrix::from_vec(b, heads * 3, v)),
+            proptest::collection::vec(0u8..3, b * heads),
+            proptest::collection::vec((0u32..4, -2.0f32..2.0), b),
+            proptest::collection::vec((0u32..4, -2.0f32..2.0), b),
+        )),
+        entropy_first in any::<bool>(),
+    ) {
+        // A zero upstream weight exercises the backward's skipped rows.
+        let weight = |w: Vec<(u32, f32)>| -> Vec<f32> {
+            w.into_iter().map(|(kind, v)| if kind == 0 { 0.0 } else { v }).collect()
+        };
+        let (w_lp, w_ent) = (weight(w_lp), weight(w_ent));
+        let (want_lp, want_ent, want_grad) =
+            multi_discrete_recompute(&logits, 3, &actions, &w_lp, &w_ent);
+
+        let rows = logits.rows();
+        let mut tape = Tape::new();
+        let x = tape.leaf(logits);
+        let actions = Rc::new(actions);
+        // Either op may be the one that computes the shared softmax.
+        let (lp, ent) = if entropy_first {
+            let ent = tape.multi_discrete_entropy(x, 3);
+            (tape.multi_discrete_log_prob(x, 3, actions), ent)
+        } else {
+            let lp = tape.multi_discrete_log_prob(x, 3, actions);
+            (lp, tape.multi_discrete_entropy(x, 3))
+        };
+        let wl = tape.mul_const(lp, Rc::new(Matrix::from_vec(rows, 1, w_lp)));
+        let we = tape.mul_const(ent, Rc::new(Matrix::from_vec(rows, 1, w_ent)));
+        let both = tape.add(wl, we);
+        let loss = tape.sum_all(both);
+        tape.backward(loss);
+
+        let col_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(tape.value(lp)), col_bits(&want_lp));
+        prop_assert_eq!(bits(tape.value(ent)), col_bits(&want_ent));
+        prop_assert_eq!(bits(tape.grad(x).unwrap()), bits(&want_grad));
     }
 }

@@ -49,6 +49,16 @@ target/release/graphrare \
     --steps 6 --seed 1 --quiet \
     --telemetry-out "$smoke_dir/events.jsonl"
 target/release/telemetry_lint "$smoke_dir/events.jsonl"
+# Long enough to cross the CLI's update window (update_every = 10), so
+# policy updates reach the lint: every `ppo_update` event must carry an
+# `entropy_frac` in (0, 1], and there must be at least one.
+target/release/graphrare \
+    --input "$smoke_dir/toy" \
+    --steps 12 --seed 1 --quiet \
+    --telemetry-out "$smoke_dir/events_update.jsonl"
+target/release/telemetry_lint "$smoke_dir/events_update.jsonl"
+grep -q '"event": *"ppo_update"' "$smoke_dir/events_update.jsonl" ||
+    { echo "expected a ppo_update event in the 12-step smoke" >&2; exit 1; }
 # Same smoke with entropy refreshes enabled, so the `entropy_refresh` and
 # `sequence_refresh` events pass through the lint too.
 target/release/graphrare \

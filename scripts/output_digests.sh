@@ -4,7 +4,13 @@
 # model (`--save-model`), for every backbone x rewirer pair on the
 # `telemetry_lint --make-fixture` toy graph, then for gcn x ppo/dhgr/reference
 # with `--entropy-refresh-every 2` (rewirer column `RW+refresh2`), which
-# routes the run through the incremental entropy engine. One line per file:
+# routes the run through the incremental entropy engine, then for gcn x ppo
+# with `--steps 24` and the PPO and A2C learners (rewirer column
+# `ppo+steps24` / `a2c+steps24`): the CLI's `update_every` is 10, so only
+# these runs reach the agent's policy update (twice). They also digest the
+# checkpoint written after the last step (`checkpoint.grrs`), which holds
+# the agent's parameters, Adam moments and sampling RNG bit for bit. One
+# line per file:
 #   BACKBONE REWIRER FILE SHA256
 #
 # Usage: scripts/output_digests.sh BIN_DIR
@@ -22,16 +28,27 @@ bin="${1:?usage: output_digests.sh BIN_DIR}"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# digests BACKBONE REWIRER LABEL [EXTRA_ARGS...]: one run, one line per file.
+# digests BACKBONE REWIRER LABEL [EXTRA_ARGS...]: one run of `$steps` steps,
+# one line per file; with `checkpoint=1` the final checkpoint is a file too.
+steps=6
+checkpoint=0
 digests() {
     local backbone="$1" rewirer="$2" label="$3"
     shift 3
     local out="$work/$backbone-$label"
+    local files=(graph.edges graph.features graph.labels model.grrs)
     mkdir -p "$out"
-    "$bin/graphrare" --input "$work/toy" --steps 6 --seed 1 --threads 1 --quiet \
+    if [ "$checkpoint" = 1 ]; then
+        set -- "$@" --checkpoint-every "$steps" --checkpoint-dir "$out/ckpt"
+    fi
+    "$bin/graphrare" --input "$work/toy" --steps "$steps" --seed 1 --threads 1 --quiet \
         --backbone "$backbone" --rewirer "$rewirer" "$@" \
         --output "$out/graph" --save-model "$out/model.grrs" > /dev/null
-    for file in graph.edges graph.features graph.labels model.grrs; do
+    if [ "$checkpoint" = 1 ]; then
+        cp "$out/ckpt/step-$(printf '%06d' "$steps").grrs" "$out/checkpoint.grrs"
+        files+=(checkpoint.grrs)
+    fi
+    for file in "${files[@]}"; do
         digest="$(sha256sum "$out/$file" | cut -d' ' -f1)"
         echo "$backbone $label $file $digest"
     done
@@ -46,3 +63,7 @@ done
 for rewirer in ppo dhgr reference; do
     digests gcn "$rewirer" "$rewirer+refresh2" --entropy-refresh-every 2
 done
+steps=24
+checkpoint=1
+digests gcn ppo "ppo+steps24" --algo ppo
+digests gcn ppo "a2c+steps24" --algo a2c
