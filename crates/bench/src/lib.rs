@@ -21,9 +21,11 @@
 //! datasets with 3 splits. Outputs are printed as aligned text tables and
 //! written as CSV under `results/`.
 //!
-//! Criterion microbenches (`cargo bench`) cover the hot kernels: entropy
-//! computation, sparse propagation, GNN epochs, PPO updates and topology
-//! rebuilds.
+//! Microbenchmark binaries time single layers: `bench_kernels` (dense
+//! `matmul`, `spmm` and the entropy sequence build across thread
+//! counts), `bench_entropy`, `bench_rewire` and `bench_serve`. GNN
+//! epochs, PPO updates and rewiring inside whole runs are timed by the
+//! end-to-end benchmark under `perfbench/`.
 
 #![warn(missing_docs)]
 

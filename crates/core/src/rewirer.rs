@@ -38,7 +38,7 @@ use graphrare_rl::{
     ValueNet,
 };
 use graphrare_tensor::optim::AdamSnapshot;
-use graphrare_tensor::CsrMatrix;
+use graphrare_tensor::{CsrMatrix, RowDots};
 
 use graphrare_graph::edge_key;
 
@@ -602,33 +602,49 @@ fn sparse_features(base: &graphrare_graph::Graph) -> (CsrMatrix, Vec<f32>) {
 /// Cosine similarity of feature rows `v` and `u` (0 when either is zero),
 /// the dot taken over the rows' shared non-zeros.
 fn cosine(feats: &CsrMatrix, norms: &[f32], v: usize, u: usize) -> f32 {
-    if norms[v] == 0.0 || norms[u] == 0.0 {
+    cosine_of_dot(feats.row_dot(v, u), norms[v], norms[u])
+}
+
+/// [`cosine`] of two rows whose dot and norms are already known.
+fn cosine_of_dot(dot: f32, norm_v: f32, norm_u: f32) -> f32 {
+    if norm_v == 0.0 || norm_u == 0.0 {
         return 0.0;
     }
-    feats.row_dot(v, u) / (norms[v] * norms[u])
+    dot / (norm_v * norm_u)
 }
 
 /// The symmetric feature-kNN reference relation: for every node, its
 /// top-`K` most cosine-similar other nodes (ties broken by node index, so
 /// the relation is fully deterministic). `K` tracks the graph's average
 /// degree, clamped to a small band.
+///
+/// Each node's dots with all others come from one [`RowDots::dots`]
+/// call, bit-identical to [`cosine`]'s per-pair dot; a partial selection
+/// then orders only the top `K`.
 fn knn_relation(base: &graphrare_graph::Graph) -> FxHashSet<u64> {
     let n = base.num_nodes();
     let k = if n == 0 { 2 } else { (2 * base.num_edges() / n.max(1)).clamp(2, 8) };
     let (feats, norms) = sparse_features(base);
+    let dots = RowDots::new(feats);
+    let mut scratch = dots.scratch::<f32>();
     let mut relation = FxHashSet::default();
     let mut sims: Vec<(f32, usize)> = Vec::with_capacity(n.saturating_sub(1));
+    // Highest similarity first; equal similarities prefer the lower node
+    // index. Ids are unique, so this is a strict total order and the
+    // selected prefix never depends on iteration order.
+    let by_similarity =
+        |a: &(f32, usize), b: &(f32, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
     for v in 0..n {
         sims.clear();
-        for u in 0..n {
-            if u != v {
-                sims.push((cosine(&feats, &norms, v, u), u));
-            }
+        dots.dots(v, (0..n).filter(|&u| u != v), &mut scratch, |u, dot| {
+            sims.push((cosine_of_dot(dot, norms[v], norms[u]), u));
+        });
+        if sims.len() > k {
+            sims.select_nth_unstable_by(k, by_similarity);
+            sims.truncate(k);
         }
-        // Highest similarity first; equal similarities prefer the lower
-        // node index so the relation never depends on iteration order.
-        sims.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for &(_, u) in sims.iter().take(k) {
+        sims.sort_unstable_by(by_similarity);
+        for &(_, u) in &sims {
             relation.insert(edge_key(v, u));
         }
     }

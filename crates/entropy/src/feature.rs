@@ -17,16 +17,20 @@
 //!   single shared constant, so sampling changes every `H_f` monotonically
 //!   and leaves rankings — the only thing GraphRARE consumes — intact.
 //!
-//! Embeddings are stored in CSR form and every dot is a sorted-index
-//! intersection ([`CsrMatrix::row_dot_f64`]): bag-of-words rows are a few
-//! percent dense, so a dot costs the two rows' non-zeros instead of the
-//! feature width, with the same bits as the dense loop.
+//! Embeddings are stored in CSR form, so a dot costs the rows' non-zeros
+//! instead of the feature width, with the same bits as the dense loop.
+//! Passes over all pairs (the exact normaliser, the rescale range, the
+//! sequence build) take a whole row's dots at once from [`RowDots`],
+//! which scatters the row through the transposed columns or merges it
+//! with each target, whichever costs less; single pairs and the sampled
+//! estimates merge one pair ([`CsrMatrix::row_dot_f64`]). Both give the
+//! same bits.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use graphrare_graph::Graph;
-use graphrare_tensor::{init, CsrMatrix, Matrix};
+use graphrare_tensor::{init, CsrMatrix, Matrix, RowDots};
 
 /// The embedding function `φ` of Eq. (3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +63,9 @@ pub enum Normalization {
 /// Precomputed feature-entropy table: embeddings plus the shared
 /// log-normaliser, supporting `O(h)` pairwise queries.
 pub struct FeatureEntropyTable {
-    /// Embedded features `z_v`, one CSR row per node.
-    z: CsrMatrix,
+    /// Embedded features `z_v`, one CSR row per node, with the transpose
+    /// for whole-row dots.
+    z: RowDots,
     /// Stabiliser subtracted from every dot product.
     max_dot: f64,
     /// `log Σ_{i,j} e^{⟨z_i,z_j⟩ − max_dot}`.
@@ -88,7 +93,8 @@ impl FeatureEntropyTable {
                 CsrMatrix::from_dense(&x.spmm(&proj))
             }
         };
-        let n = z.rows();
+        let z = RowDots::new(z);
+        let n = z.matrix().rows();
         let normalization = match normalization {
             Normalization::Auto => {
                 if n <= 1500 {
@@ -101,7 +107,7 @@ impl FeatureEntropyTable {
         };
         let (max_dot, log_norm) = match normalization {
             Normalization::Exact => exact_log_norm(&z),
-            Normalization::Sampled(samples) => sampled_log_norm(&z, samples),
+            Normalization::Sampled(samples) => sampled_log_norm(z.matrix(), samples),
             Normalization::Auto => unreachable!("resolved above"),
         };
         Self { z, max_dot, log_norm }
@@ -109,23 +115,42 @@ impl FeatureEntropyTable {
 
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
-        self.z.rows()
+        self.z.matrix().rows()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.z.rows() == 0
+        self.len() == 0
+    }
+
+    /// The embeddings with their transpose, for whole-row dots: row `v`'s
+    /// dots with `u` feed [`log_prob_of_dot`](Self::log_prob_of_dot).
+    pub(crate) fn dots(&self) -> &RowDots {
+        &self.z
     }
 
     /// Log-probability `log P(z_v, z_u)` under the global pair softmax.
     pub fn log_prob(&self, v: usize, u: usize) -> f64 {
-        self.z.row_dot_f64(v, u) - self.max_dot - self.log_norm
+        self.log_prob_of_dot(self.z.matrix().row_dot_f64(v, u))
+    }
+
+    /// [`log_prob`](Self::log_prob) of a pair whose dot `⟨z_v, z_u⟩` is
+    /// already known.
+    #[inline]
+    pub(crate) fn log_prob_of_dot(&self, dot: f64) -> f64 {
+        dot - self.max_dot - self.log_norm
     }
 
     /// Feature entropy `H_f(v, u) = −P log P` (Eq. 4). Symmetric; larger
     /// means more similar features.
     pub fn entropy(&self, v: usize, u: usize) -> f64 {
-        let lp = self.log_prob(v, u);
+        self.entropy_of_dot(self.z.matrix().row_dot_f64(v, u))
+    }
+
+    /// [`entropy`](Self::entropy) of a pair whose dot is already known.
+    #[inline]
+    pub(crate) fn entropy_of_dot(&self, dot: f64) -> f64 {
+        let lp = self.log_prob_of_dot(dot);
         let p = lp.exp();
         if p <= 0.0 {
             0.0
@@ -136,25 +161,25 @@ impl FeatureEntropyTable {
 }
 
 /// Exact `(max_dot, log Σ e^{dot − max_dot})` over all ordered pairs.
-fn exact_log_norm(z: &CsrMatrix) -> (f64, f64) {
-    let n = z.rows();
+pub(crate) fn exact_log_norm(z: &RowDots) -> (f64, f64) {
+    let n = z.matrix().rows();
     if n == 0 {
         return (0.0, 0.0);
     }
     // Two passes: find the max dot, then the stabilised sum. Symmetry
     // halves the work; the diagonal is counted once per ordered pair.
+    // Row `i` takes its dots with `i..n` in one call, in ascending `j`.
+    let mut scratch = z.scratch();
     let mut max_dot = f64::NEG_INFINITY;
     for i in 0..n {
-        for j in i..n {
-            max_dot = max_dot.max(z.row_dot_f64(i, j));
-        }
+        z.dots(i, i..n, &mut scratch, |_, dot| max_dot = max_dot.max(dot));
     }
     let mut sum = 0.0f64;
     for i in 0..n {
-        for j in i..n {
-            let e = (z.row_dot_f64(i, j) - max_dot).exp();
+        z.dots(i, i..n, &mut scratch, |j, dot| {
+            let e = (dot - max_dot).exp();
             sum += if i == j { e } else { 2.0 * e };
-        }
+        });
     }
     (max_dot, sum.ln())
 }

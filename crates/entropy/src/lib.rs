@@ -35,6 +35,8 @@
 
 pub mod feature;
 pub mod incremental;
+#[cfg(test)]
+mod pairwise_reference;
 pub mod relative;
 pub mod sequences;
 pub mod structural;

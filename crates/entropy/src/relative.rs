@@ -1,7 +1,7 @@
 //! Node relative entropy `H(v, u) = H_f(v, u) + λ·H_s(v, u)` (Eq. 9).
 
 use graphrare_graph::Graph;
-use graphrare_tensor::Matrix;
+use graphrare_tensor::{DotScratch, DotStrategy, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,7 +45,8 @@ impl Default for RelativeEntropyConfig {
 /// Precomputed pairwise node relative entropy.
 ///
 /// Built once before training (Algorithm 1, lines 1–5); queries are `O(h +
-/// M)` per pair.
+/// M)` per pair, or a whole row at a time with
+/// [`entropy_row`](Self::entropy_row).
 pub struct RelativeEntropyTable {
     feature: FeatureEntropyTable,
     structural: StructuralEntropyTable,
@@ -116,10 +117,17 @@ impl RelativeEntropyTable {
     /// [`RelativeEntropyConfig::rescale_feature`]); without rescaling this
     /// is exactly Eq. 4's `−P log P`.
     pub fn feature_entropy(&self, v: usize, u: usize) -> f64 {
+        self.feature_entropy_of_dot(self.feature.dots().matrix().row_dot_f64(v, u))
+    }
+
+    /// [`feature_entropy`](Self::feature_entropy) of a pair whose
+    /// embedding dot is already known.
+    #[inline]
+    fn feature_entropy_of_dot(&self, dot: f64) -> f64 {
         if self.rescaled {
-            ((self.feature.log_prob(v, u) - self.f_offset) * self.f_scale).clamp(0.0, 1.0)
+            ((self.feature.log_prob_of_dot(dot) - self.f_offset) * self.f_scale).clamp(0.0, 1.0)
         } else {
-            self.feature.entropy(v, u)
+            self.feature.entropy_of_dot(dot)
         }
     }
 
@@ -131,6 +139,30 @@ impl RelativeEntropyTable {
     /// Node relative entropy `H(v, u)` (Eq. 9).
     pub fn entropy(&self, v: usize, u: usize) -> f64 {
         self.feature_entropy(v, u) + self.lambda * self.structural_entropy(v, u)
+    }
+
+    /// Calls `f(u, H(v, u))` for every `u` of `targets`, in order, each
+    /// value bit-identical to [`entropy`](Self::entropy)`(v, u)`. Row `v`'s
+    /// feature dots come from one [`RowDots::dots`] call (scatter or
+    /// merges, whichever costs less); returns which one it took.
+    ///
+    /// [`RowDots::dots`]: graphrare_tensor::RowDots::dots
+    pub fn entropy_row(
+        &self,
+        v: usize,
+        targets: &[usize],
+        scratch: &mut DotScratch<f64>,
+        mut f: impl FnMut(usize, f64),
+    ) -> DotStrategy {
+        self.feature.dots().dots(v, targets.iter().copied(), scratch, |u, dot| {
+            f(u, self.feature_entropy_of_dot(dot) + self.lambda * self.structural_entropy(v, u))
+        })
+    }
+
+    /// A zeroed accumulator for [`entropy_row`](Self::entropy_row), one
+    /// per thread.
+    pub fn dot_scratch(&self) -> DotScratch<f64> {
+        self.feature.dots().scratch()
     }
 
     /// The structural component table.
@@ -181,28 +213,34 @@ impl RelativeEntropyTable {
 /// for small graphs, estimated from 100k sampled pairs otherwise.
 /// Returns `(offset, scale)` such that `(log_p - offset) * scale ∈ [0, 1]`.
 ///
-/// The exact branch is a parallel min/max fold over the row index; min
-/// and max are exactly associative, so the result is bit-identical for
-/// any thread count. The sampled branch keeps its single sequential RNG
-/// stream (it is cheap and its determinism depends on draw order).
-fn feature_range(feature: &FeatureEntropyTable, n: usize) -> (f64, f64) {
+/// The exact branch is a parallel min/max fold over the row index, each
+/// row's dots taken in one [`RowDots::dots`] call with a per-thread
+/// scratch; min and max are exactly associative, so the result is
+/// bit-identical for any thread count. The sampled branch keeps its
+/// single sequential RNG stream (it is cheap and its determinism depends
+/// on draw order).
+///
+/// [`RowDots::dots`]: graphrare_tensor::RowDots::dots
+pub(crate) fn feature_range(feature: &FeatureEntropyTable, n: usize) -> (f64, f64) {
     // The diagonal is excluded: self-dots of sparse bag-of-words features
     // are far larger than any cross-pair dot and would squash every real
     // candidate pair into a sliver of the unit interval.
     let (lo, hi) = if n <= 1200 {
-        graphrare_tensor::parallel::par_fold(
+        let dots = feature.dots();
+        let (lo, hi, _) = graphrare_tensor::parallel::par_fold(
             n,
-            || (f64::INFINITY, f64::NEG_INFINITY),
-            |(mut lo, mut hi), v| {
-                for u in (v + 1)..n {
-                    let h = feature.log_prob(v, u);
+            || (f64::INFINITY, f64::NEG_INFINITY, dots.scratch()),
+            |(mut lo, mut hi, mut scratch), v| {
+                dots.dots(v, (v + 1)..n, &mut scratch, |_, dot| {
+                    let h = feature.log_prob_of_dot(dot);
                     lo = lo.min(h);
                     hi = hi.max(h);
-                }
-                (lo, hi)
+                });
+                (lo, hi, scratch)
             },
-            |(lo_a, hi_a), (lo_b, hi_b)| (lo_a.min(lo_b), hi_a.max(hi_b)),
-        )
+            |(lo_a, hi_a, scratch), (lo_b, hi_b, _)| (lo_a.min(lo_b), hi_a.max(hi_b), scratch),
+        );
+        (lo, hi)
     } else {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;

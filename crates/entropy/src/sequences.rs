@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use graphrare_graph::{traversal, Graph};
+use graphrare_tensor::{DotScratch, DotStrategy};
 
 use crate::relative::RelativeEntropyTable;
 
@@ -63,39 +64,46 @@ type Ranking = Vec<(u32, f32)>;
 /// the order total even when degenerate features drive an entropy to NaN
 /// (NaN ranks above every finite value in descending order —
 /// deterministic, never a panic).
-fn by_entropy_desc(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
+pub(crate) fn by_entropy_desc(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 /// Ascending entropy: least-related first; ids ascending on ties.
-fn by_entropy_asc(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
+pub(crate) fn by_entropy_asc(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
-/// Per-thread scratch for [`build_row`]: the BFS ring state and the
-/// candidate id buffer, reused across nodes so the node-parallel build
-/// allocates only its output rankings.
+/// Per-thread scratch for [`build_row`]: the BFS ring state, the target
+/// id buffer and the dot accumulator, reused across nodes so the
+/// node-parallel build allocates only its output rankings.
 pub(crate) struct BuildScratch {
     ring: traversal::RingScratch,
-    candidates: Vec<usize>,
+    /// Node `v`'s addition candidates followed by its neighbours.
+    pub(crate) targets: Vec<usize>,
+    dots: DotScratch<f64>,
 }
 
 impl BuildScratch {
-    pub(crate) fn new() -> Self {
-        Self { ring: traversal::RingScratch::new(), candidates: Vec::new() }
+    pub(crate) fn new(table: &RelativeEntropyTable) -> Self {
+        Self { ring: traversal::RingScratch::new(), targets: Vec::new(), dots: table.dot_scratch() }
     }
 }
 
-/// Fills `scratch.candidates` with node `v`'s addition-candidate pool.
-fn candidates_into(g: &Graph, pool: CandidatePool, v: usize, scratch: &mut BuildScratch) {
-    scratch.candidates.clear();
+/// Fills `scratch.targets` with node `v`'s addition-candidate pool.
+pub(crate) fn candidates_into(
+    g: &Graph,
+    pool: CandidatePool,
+    v: usize,
+    scratch: &mut BuildScratch,
+) {
+    scratch.targets.clear();
     match pool {
         CandidatePool::RemoteRing { hops } => {
-            traversal::remote_ring_into(g, v, hops, &mut scratch.ring, &mut scratch.candidates);
+            traversal::remote_ring_into(g, v, hops, &mut scratch.ring, &mut scratch.targets);
         }
         CandidatePool::GlobalSample { per_node, seed } => {
             let mut rng = StdRng::seed_from_u64(seed ^ v as u64);
-            scratch.candidates.extend(sample_non_neighbors(g, v, per_node, &mut rng));
+            scratch.targets.extend(sample_non_neighbors(g, v, per_node, &mut rng));
         }
     }
 }
@@ -103,17 +111,30 @@ fn candidates_into(g: &Graph, pool: CandidatePool, v: usize, scratch: &mut Build
 /// Builds node `v`'s `(additions, deletions)` rankings — the single code
 /// path shared by the full build, the incremental engine's dirty-row
 /// rebuilds, and the wholesale fallback, which is what makes their
-/// outputs bit-identical by construction.
+/// outputs bit-identical by construction. The candidates' and the
+/// neighbours' entropies come from one
+/// [`RelativeEntropyTable::entropy_row`] call, whose dot strategy is
+/// returned alongside.
 pub(crate) fn build_row(
     g: &Graph,
     table: &RelativeEntropyTable,
     cfg: &SequenceConfig,
     v: usize,
     scratch: &mut BuildScratch,
-) -> (Ranking, Ranking) {
+) -> (Ranking, Ranking, DotStrategy) {
     candidates_into(g, cfg.pool, v, scratch);
-    let mut ranked: Vec<(u32, f32)> =
-        scratch.candidates.iter().map(|&u| (u as u32, table.entropy(v, u) as f32)).collect();
+    let n_candidates = scratch.targets.len();
+    scratch.targets.extend(g.neighbors(v));
+    let mut ranked: Ranking = Vec::with_capacity(n_candidates);
+    let mut dels: Ranking = Vec::with_capacity(scratch.targets.len() - n_candidates);
+    let strategy = table.entropy_row(v, &scratch.targets, &mut scratch.dots, |u, h| {
+        let entry = (u as u32, h as f32);
+        if ranked.len() < n_candidates {
+            ranked.push(entry);
+        } else {
+            dels.push(entry);
+        }
+    });
     // Partial selection: move the top `max_additions` to the front in
     // O(len), then sort only that prefix. With the total order above
     // this equals a full sort + truncate.
@@ -122,11 +143,28 @@ pub(crate) fn build_row(
         ranked.truncate(cfg.max_additions);
     }
     ranked.sort_unstable_by(by_entropy_desc);
-
-    let mut dels: Vec<(u32, f32)> =
-        g.neighbors(v).map(|u| (u as u32, table.entropy(v, u) as f32)).collect();
     dels.sort_unstable_by(by_entropy_asc);
-    (ranked, dels)
+    (ranked, dels, strategy)
+}
+
+/// Unzips per-row build results, counting the rows whose dots took the
+/// scatter (`.0`) and the merges (`.1`) into the `entropy.scatter_rows` /
+/// `entropy.merge_rows` counters.
+fn unzip_rows(rows: Vec<(Ranking, Ranking, DotStrategy)>) -> (Vec<(Ranking, Ranking)>, (u64, u64)) {
+    let mut counts = (0u64, 0u64);
+    let rankings = rows
+        .into_iter()
+        .map(|(adds, dels, strategy)| {
+            match strategy {
+                DotStrategy::Scatter => counts.0 += 1,
+                DotStrategy::Merge => counts.1 += 1,
+            }
+            (adds, dels)
+        })
+        .collect();
+    graphrare_telemetry::counter("entropy.scatter_rows", counts.0);
+    graphrare_telemetry::counter("entropy.merge_rows", counts.1);
+    (rankings, counts)
 }
 
 /// Per-node ranked addition and deletion candidates.
@@ -145,20 +183,28 @@ impl EntropySequences {
     /// draws from a per-node RNG seeded `seed ^ v`, making the sample
     /// independent of visit order — the output is identical for any
     /// thread count.
+    ///
+    /// The `entropy_sequences` event reports how many rows took their
+    /// feature dots by scatter (`scatter_rows`) and by merges
+    /// (`merge_rows`); the two sum to `nodes`.
     pub fn build(g: &Graph, table: &RelativeEntropyTable, cfg: &SequenceConfig) -> Self {
         let _span = graphrare_telemetry::span("entropy.sequence_build");
         let clock = graphrare_telemetry::Stopwatch::start();
         let n = g.num_nodes();
-        let per_node: Vec<(Ranking, Ranking)> =
-            graphrare_tensor::parallel::par_map_scratch(n, BuildScratch::new, |scratch, v| {
-                build_row(g, table, cfg, v, scratch)
-            });
+        let per_node = graphrare_tensor::parallel::par_map_scratch(
+            n,
+            || BuildScratch::new(table),
+            |scratch, v| build_row(g, table, cfg, v, scratch),
+        );
+        let (per_node, (scatter_rows, merge_rows)) = unzip_rows(per_node);
         let (additions, deletions) = per_node.into_iter().unzip();
         let build_ns = clock.ns();
         graphrare_telemetry::emit_with(|| {
             graphrare_telemetry::Event::new("entropy_sequences")
                 .u64("nodes", n as u64)
                 .u64("build_ns", build_ns)
+                .u64("scatter_rows", scatter_rows)
+                .u64("merge_rows", merge_rows)
         });
         Self { additions, deletions }
     }
@@ -174,12 +220,12 @@ impl EntropySequences {
         cfg: &SequenceConfig,
         rows: &[usize],
     ) {
-        let rebuilt: Vec<(Ranking, Ranking)> = graphrare_tensor::parallel::par_map_scratch(
+        let rebuilt = graphrare_tensor::parallel::par_map_scratch(
             rows.len(),
-            BuildScratch::new,
+            || BuildScratch::new(table),
             |scratch, i| build_row(g, table, cfg, rows[i], scratch),
         );
-        for (&v, (adds, dels)) in rows.iter().zip(rebuilt) {
+        for (&v, (adds, dels)) in rows.iter().zip(unzip_rows(rebuilt).0) {
             self.additions[v] = adds;
             self.deletions[v] = dels;
         }

@@ -347,7 +347,32 @@ pub fn validate_span_stream(events: &[Json]) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a whole JSONL file — every line an accepted event, no
+/// Checks an `entropy_sequences` event's row strategy counts: the rows
+/// whose feature dots took the scatter (`scatter_rows`) and the merges
+/// (`merge_rows`) must be integers summing to `nodes`. Other events pass.
+///
+/// Only [`validate_jsonl_file`] applies it: streams recorded before the
+/// counts existed (the committed perf-gate baselines) still load through
+/// [`validate_event_line`].
+pub fn validate_entropy_sequences(value: &Json) -> Result<(), String> {
+    if value.get("event").and_then(Json::as_str) != Some("entropy_sequences") {
+        return Ok(());
+    }
+    let field = |key: &str| {
+        get_u64(value, key)
+            .ok_or_else(|| format!("entropy_sequences event: missing integer {key:?}"))
+    };
+    let (nodes, scatter, merge) = (field("nodes")?, field("scatter_rows")?, field("merge_rows")?);
+    if scatter + merge != nodes {
+        return Err(format!(
+            "entropy_sequences event: scatter_rows {scatter} + merge_rows {merge} != nodes {nodes}"
+        ));
+    }
+    Ok(())
+}
+
+/// Validates a whole JSONL file — every line an accepted event, row
+/// strategy counts that add up ([`validate_entropy_sequences`]), no
 /// blank lines, no orphaned span parent ids — and returns the number
 /// of events, or the first offending line's error.
 pub fn validate_jsonl_file(path: &Path) -> Result<usize, String> {
@@ -355,7 +380,10 @@ pub fn validate_jsonl_file(path: &Path) -> Result<usize, String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let mut events = Vec::new();
     for (idx, line) in text.lines().enumerate() {
-        events.push(validate_event_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
+        let event = validate_event_line(line)
+            .and_then(|e| validate_entropy_sequences(&e).map(|()| e))
+            .map_err(|e| format!("line {}: {e}", idx + 1))?;
+        events.push(event);
     }
     if events.is_empty() {
         return Err(format!("{}: no events", path.display()));
@@ -493,6 +521,27 @@ mod tests {
         ] {
             assert!(validate_event_line(&event(bad)).is_err(), "accepted ppo_update with {why}");
         }
+    }
+
+    #[test]
+    fn entropy_sequences_row_counts_must_sum_to_nodes() {
+        let event = |fields: &str| {
+            validate_event_line(&format!("{{\"v\":3,\"event\":\"entropy_sequences\"{fields}}}"))
+                .unwrap()
+        };
+        let ok = event(",\"nodes\":5,\"build_ns\":9,\"scatter_rows\":3,\"merge_rows\":2");
+        assert!(validate_entropy_sequences(&ok).is_ok());
+        for (bad, why) in [
+            (",\"nodes\":5,\"scatter_rows\":3,\"merge_rows\":1", "short sum"),
+            (",\"nodes\":5,\"scatter_rows\":5", "no merge_rows"),
+            (",\"nodes\":5,\"merge_rows\":5", "no scatter_rows"),
+            (",\"scatter_rows\":0,\"merge_rows\":0", "no nodes"),
+            (",\"nodes\":2,\"scatter_rows\":1.5,\"merge_rows\":0.5", "fractional counts"),
+        ] {
+            assert!(validate_entropy_sequences(&event(bad)).is_err(), "accepted {why}");
+        }
+        let other = validate_event_line("{\"v\":3,\"event\":\"run_end\"}").unwrap();
+        assert!(validate_entropy_sequences(&other).is_ok());
     }
 
     #[test]

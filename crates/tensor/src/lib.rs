@@ -11,6 +11,9 @@
 //!   (matmul, transpose-fused products, softmax, concatenation, …).
 //! * [`CsrMatrix`] — compressed sparse row matrices for graph propagation
 //!   operators, treated as constants by autograd.
+//! * [`RowDots`] — one sparse row's dot products with many rows, by a
+//!   scatter through the transposed columns or a merge per pair,
+//!   whichever costs less.
 //! * [`Tape`]/[`Var`] — a tape-based autograd engine with a closed op set,
 //!   each backward rule validated against finite differences.
 //! * [`Param`] — shared trainable weights consumed by [`optim`] optimisers
@@ -73,10 +76,12 @@ pub mod matrix;
 pub mod optim;
 pub mod parallel;
 pub mod param;
+pub mod row_dots;
 pub mod sparse;
 pub mod tape;
 
 pub use matrix::Matrix;
 pub use param::Param;
+pub use row_dots::{DotScalar, DotScratch, DotStrategy, RowDots};
 pub use sparse::CsrMatrix;
 pub use tape::{AdjList, Tape, Var};

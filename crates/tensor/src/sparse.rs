@@ -18,6 +18,7 @@ use rand::Rng;
 
 use crate::matrix::Matrix;
 use crate::parallel;
+use crate::row_dots::DotScalar;
 
 /// A sparse matrix in compressed sparse row format.
 #[derive(Clone, Debug, PartialEq)]
@@ -360,39 +361,60 @@ impl CsrMatrix {
     /// to the dense `Σ_c a_c · b_c` loop on non-negative rows (a pair
     /// with disjoint support scores `+0.0`).
     pub fn row_dot(&self, i: usize, j: usize) -> f32 {
-        let mut acc = 0.0f32;
-        self.intersect(i, j, |x, y| acc += x * y);
-        acc
+        self.row_dot_as(i, j)
     }
 
     /// [`row_dot`](CsrMatrix::row_dot) with each product and the sum
     /// taken in `f64`.
     pub fn row_dot_f64(&self, i: usize, j: usize) -> f64 {
-        let mut acc = 0.0f64;
-        self.intersect(i, j, |x, y| acc += x as f64 * y as f64);
-        acc
+        self.row_dot_as(i, j)
     }
 
-    /// Calls `f(self[i, c], self[j, c])` for every column `c` stored in
-    /// both rows, in ascending column order.
-    #[inline]
-    fn intersect(&self, i: usize, j: usize, mut f: impl FnMut(f32, f32)) {
-        let (a_lo, a_hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        let (b_lo, b_hi) = (self.row_ptr[j], self.row_ptr[j + 1]);
-        let (a_cols, a_vals) = (&self.col_idx[a_lo..a_hi], &self.values[a_lo..a_hi]);
-        let (b_cols, b_vals) = (&self.col_idx[b_lo..b_hi], &self.values[b_lo..b_hi]);
+    /// The dot product of rows `i` and `j` accumulated in `T`: starting
+    /// at `+0.0`, one [`DotScalar::add_product`] of `(self[i, c],
+    /// self[j, c])` per column `c` stored in both rows, in ascending
+    /// column order. [`RowDots`](crate::RowDots) takes the same steps.
+    pub(crate) fn row_dot_as<T: DotScalar>(&self, i: usize, j: usize) -> T {
+        let (a_cols, a_vals) = self.row_slices(i);
+        let (b_cols, b_vals) = self.row_slices(j);
+        let mut acc = T::default();
         let (mut p, mut q) = (0, 0);
         while p < a_cols.len() && q < b_cols.len() {
             match a_cols[p].cmp(&b_cols[q]) {
                 std::cmp::Ordering::Less => p += 1,
                 std::cmp::Ordering::Greater => q += 1,
                 std::cmp::Ordering::Equal => {
-                    f(a_vals[p], b_vals[q]);
+                    acc = acc.add_product(a_vals[p], b_vals[q]);
                     p += 1;
                     q += 1;
                 }
             }
         }
+        acc
+    }
+
+    /// The transpose, built by one counting pass over the columns: row
+    /// `c` of the result lists the rows that store column `c`, in
+    /// ascending order, with their values.
+    pub fn transpose(&self) -> CsrMatrix {
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut cursor = row_ptr.clone();
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0f32; self.nnz()];
+        for r in 0..self.rows {
+            for (c, v) in self.row_entries_inner(r) {
+                col_idx[cursor[c]] = r;
+                values[cursor[c]] = v;
+                cursor[c] += 1;
+            }
+        }
+        CsrMatrix { rows: self.cols, cols: self.rows, row_ptr, col_idx, values }
     }
 
     /// Converts to a dense matrix (test/debug helper).
@@ -551,6 +573,13 @@ impl CsrMatrix {
         let hi = self.row_ptr[r + 1];
         let row = &self.col_idx[lo..hi];
         row.binary_search(&c).ok().map(|i| self.values[lo + i])
+    }
+
+    /// Row `r`'s column indices and values as two parallel slices.
+    #[inline]
+    pub(crate) fn row_slices(&self, r: usize) -> (&[usize], &[f32]) {
+        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
     #[inline]

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use graphrare_tensor::matrix::{log_softmax_slice, softmax_slice, NT_PANEL};
-use graphrare_tensor::{CsrMatrix, Matrix, Tape};
+use graphrare_tensor::{CsrMatrix, DotStrategy, Matrix, RowDots, Tape};
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
@@ -34,6 +34,21 @@ fn arb_sparse_nonneg(max_dim: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Signed values drawn from a small table, about half zeros, so rows
+/// overlap, cancel exactly (`1·1 + 1·(−1) = +0`), underflow to `±0` in
+/// `f32`, or share no column at all; row `empty_row % rows` is all-zero.
+fn arb_signed_sparse(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matrix> {
+    const VALUES: [f32; 8] = [1.0, -1.0, 2.0, -2.0, 0.5, -3.0, 1e-30, -1e-30];
+    (1..=max_rows, 1..=max_cols, 0usize..64).prop_flat_map(|(r, c, empty_row)| {
+        proptest::collection::vec(0usize..16, r * c).prop_map(move |picks| {
+            let data = picks.into_iter().map(|i| if i < 8 { 0.0 } else { VALUES[i - 8] }).collect();
+            let mut m = Matrix::from_vec(r, c, data);
+            m.row_mut(empty_row % r).fill(0.0);
+            m
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -49,6 +64,45 @@ proptest! {
                 let dense32: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
                 prop_assert_eq!(csr.row_dot_f64(i, j).to_bits(), dense64.to_bits());
                 prop_assert_eq!(csr.row_dot(i, j).to_bits(), dense32.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn row_dots_match_pairwise_merges_bit_for_bit(m in arb_signed_sparse(10, 12)) {
+        // Both strategies, and the cost rule's pick, give every pair the
+        // bits of `row_dot_f64` / `row_dot`, with one scratch per scalar
+        // reused across rows and strategies (so a dirty reset shows).
+        let csr = CsrMatrix::from_dense(&m);
+        prop_assert_eq!(csr.transpose().to_dense(), m.transpose());
+        let dots = RowDots::new(csr.clone());
+        let (mut s64, mut s32) = (dots.scratch::<f64>(), dots.scratch::<f32>());
+        let n = m.rows();
+        for v in 0..n {
+            for strategy in [None, Some(DotStrategy::Scatter), Some(DotStrategy::Merge)] {
+                let (mut got64, mut got32) = (Vec::new(), Vec::new());
+                match strategy {
+                    None => {
+                        dots.dots(v, 0..n, &mut s64, |u, x: f64| got64.push((u, x.to_bits())));
+                        dots.dots(v, 0..n, &mut s32, |u, x: f32| got32.push((u, x.to_bits())));
+                    }
+                    Some(st) => {
+                        dots.dots_by(st, v, 0..n, &mut s64, |u, x: f64| got64.push((u, x.to_bits())));
+                        dots.dots_by(st, v, 0..n, &mut s32, |u, x: f32| got32.push((u, x.to_bits())));
+                    }
+                }
+                let want64: Vec<_> = (0..n).map(|u| (u, csr.row_dot_f64(v, u).to_bits())).collect();
+                let want32: Vec<_> = (0..n).map(|u| (u, csr.row_dot(v, u).to_bits())).collect();
+                prop_assert_eq!(got64, want64);
+                prop_assert_eq!(got32, want32);
+            }
+            // A row sharing no column with `v` scores +0.0, never -0.0.
+            for u in 0..n {
+                let shared = (0..m.cols()).any(|c| m.get(v, c) != 0.0 && m.get(u, c) != 0.0);
+                if !shared {
+                    prop_assert_eq!(csr.row_dot_f64(v, u).to_bits(), 0.0f64.to_bits());
+                    prop_assert_eq!(csr.row_dot(v, u).to_bits(), 0.0f32.to_bits());
+                }
             }
         }
     }

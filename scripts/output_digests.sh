@@ -9,7 +9,11 @@
 # `ppo+steps24` / `a2c+steps24`): the CLI's `update_every` is 10, so only
 # these runs reach the agent's policy update (twice). They also digest the
 # checkpoint written after the last step (`checkpoint.grrs`), which holds
-# the agent's parameters, Adam moments and sampling RNG bit for bit. One
+# the agent's parameters, Adam moments and sampling RNG bit for bit.
+# Last come gcn x ppo/dhgr/reference on the `telemetry_lint
+# --make-wide-fixture` graph (rewirer column `RW+wide`): synthetic Cornell,
+# 1703-dim features at 3% density, the wide sparse rows on which the
+# entropy precompute and the feature kNN take their dots by scatter. One
 # line per file:
 #   BACKBONE REWIRER FILE SHA256
 #
@@ -28,8 +32,10 @@ bin="${1:?usage: output_digests.sh BIN_DIR}"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# digests BACKBONE REWIRER LABEL [EXTRA_ARGS...]: one run of `$steps` steps,
-# one line per file; with `checkpoint=1` the final checkpoint is a file too.
+# digests BACKBONE REWIRER LABEL [EXTRA_ARGS...]: one run of `$steps` steps
+# on `$input`, one line per file; with `checkpoint=1` the final checkpoint
+# is a file too.
+input="$work/toy"
 steps=6
 checkpoint=0
 digests() {
@@ -41,7 +47,7 @@ digests() {
     if [ "$checkpoint" = 1 ]; then
         set -- "$@" --checkpoint-every "$steps" --checkpoint-dir "$out/ckpt"
     fi
-    "$bin/graphrare" --input "$work/toy" --steps "$steps" --seed 1 --threads 1 --quiet \
+    "$bin/graphrare" --input "$input" --steps "$steps" --seed 1 --threads 1 --quiet \
         --backbone "$backbone" --rewirer "$rewirer" "$@" \
         --output "$out/graph" --save-model "$out/model.grrs" > /dev/null
     if [ "$checkpoint" = 1 ]; then
@@ -67,3 +73,10 @@ steps=24
 checkpoint=1
 digests gcn ppo "ppo+steps24" --algo ppo
 digests gcn ppo "a2c+steps24" --algo a2c
+"$bin/telemetry_lint" --make-wide-fixture "$work/wide"
+input="$work/wide"
+steps=6
+checkpoint=0
+for rewirer in ppo dhgr reference; do
+    digests gcn "$rewirer" "$rewirer+wide"
+done
